@@ -68,8 +68,8 @@ printReport(const std::string &engine_name, const RunConfig &run,
     std::printf("end-to-end throughput: %.4f tokens/s\n",
                 r.endToEndThroughput(run.output_len));
     std::printf("energy               : %.1f kJ (%.0f J/token)\n",
-                r.energy.total() / 1e3,
-                r.energy.total() /
+                r.energy.total().value() / 1e3,
+                r.energy.total().value() /
                     static_cast<double>(r.effective_batch *
                                         run.output_len));
     std::printf("cost-effectiveness   : %.3e tokens/s/$ ($%.0f)\n",
@@ -152,6 +152,15 @@ printReport(const std::string &engine_name, const RunConfig &run,
                         (unsigned long long)e.tokens);
         }
     }
+}
+
+/** Print each diagnostic as an error; true when there were none. */
+bool
+reportDiagnostics(const std::vector<std::string> &diags)
+{
+    for (const std::string &d : diags)
+        std::cerr << "error: " << d << "\n";
+    return diags.empty();
 }
 
 void
@@ -472,6 +481,12 @@ main(int argc, char **argv)
         }
         scfg.slo = Seconds(args.getDouble("slo-ms") / 1e3);
         scfg.prefill_chunks = run.prefill_chunks;
+        if (!args.ok()) {
+            std::cerr << "error: " << args.error() << "\n";
+            return 2;
+        }
+        if (!reportDiagnostics(scfg.validate()))
+            return 2;
         std::vector<Request> stream;
         const std::string trace_file = args.get("arrival-trace");
         if (!trace_file.empty()) {
@@ -492,6 +507,8 @@ main(int argc, char **argv)
                 std::cerr << "error: " << args.error() << "\n";
                 return 2;
             }
+            if (!reportDiagnostics(pc.validate()))
+                return 2;
             Rng rng;  // fixed default seed: streams replay exactly
             stream = makePoissonArrivals(pc, rng);
         }

@@ -48,6 +48,7 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 namespace hilos {
 
@@ -69,6 +70,10 @@ struct QuantityOf<0, 0, 0, 0, 0> {
 
 template <int B, int T, int F, int E, int C>
 using quantity_of_t = typename QuantityOf<B, T, F, E, C>::type;
+
+/** A raw arithmetic operand (dimensionless) of a mixed operator. */
+template <typename S>
+concept Scalar = std::is_arithmetic_v<S>;
 
 }  // namespace units_internal
 
@@ -217,104 +222,106 @@ operator!=(Quantity<B, T, F, E, C> a, Quantity<B, T, F, E, C> b)
     return a.value() != b.value();
 }
 
-// Mixing with a raw double (dimensionless) is permitted in additive and
-// relational positions — `t > 0.0`, `t + slack` — and resolved here
-// explicitly so the builtin double operators never create ambiguity.
-template <int B, int T, int F, int E, int C>
+// Mixing with a raw arithmetic scalar (dimensionless) is permitted in
+// additive and relational positions — `t > 0.0`, `t + slack`, `n > 0`
+// — and resolved here explicitly so the builtin double operators never
+// create ambiguity. The scalar is templated so integer operands match
+// exactly too; it converts to double, as a `double` parameter would.
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr Quantity<B, T, F, E, C>
-operator+(Quantity<B, T, F, E, C> a, double b)
+operator+(Quantity<B, T, F, E, C> a, S b)
 {
-    return Quantity<B, T, F, E, C>(a.value() + b);
+    return Quantity<B, T, F, E, C>(a.value() + static_cast<double>(b));
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr Quantity<B, T, F, E, C>
-operator+(double a, Quantity<B, T, F, E, C> b)
+operator+(S a, Quantity<B, T, F, E, C> b)
 {
-    return Quantity<B, T, F, E, C>(a + b.value());
+    return Quantity<B, T, F, E, C>(static_cast<double>(a) + b.value());
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr Quantity<B, T, F, E, C>
-operator-(Quantity<B, T, F, E, C> a, double b)
+operator-(Quantity<B, T, F, E, C> a, S b)
 {
-    return Quantity<B, T, F, E, C>(a.value() - b);
+    return Quantity<B, T, F, E, C>(a.value() - static_cast<double>(b));
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr Quantity<B, T, F, E, C>
-operator-(double a, Quantity<B, T, F, E, C> b)
+operator-(S a, Quantity<B, T, F, E, C> b)
 {
-    return Quantity<B, T, F, E, C>(a - b.value());
+    return Quantity<B, T, F, E, C>(static_cast<double>(a) - b.value());
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr bool
-operator<(Quantity<B, T, F, E, C> a, double b)
+operator<(Quantity<B, T, F, E, C> a, S b)
 {
-    return a.value() < b;
+    return a.value() < static_cast<double>(b);
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr bool
-operator<(double a, Quantity<B, T, F, E, C> b)
+operator<(S a, Quantity<B, T, F, E, C> b)
 {
-    return a < b.value();
+    return static_cast<double>(a) < b.value();
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr bool
-operator>(Quantity<B, T, F, E, C> a, double b)
+operator>(Quantity<B, T, F, E, C> a, S b)
 {
-    return a.value() > b;
+    return a.value() > static_cast<double>(b);
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr bool
-operator>(double a, Quantity<B, T, F, E, C> b)
+operator>(S a, Quantity<B, T, F, E, C> b)
 {
-    return a > b.value();
+    return static_cast<double>(a) > b.value();
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr bool
-operator<=(Quantity<B, T, F, E, C> a, double b)
+operator<=(Quantity<B, T, F, E, C> a, S b)
 {
-    return a.value() <= b;
+    return a.value() <= static_cast<double>(b);
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr bool
-operator<=(double a, Quantity<B, T, F, E, C> b)
+operator<=(S a, Quantity<B, T, F, E, C> b)
 {
-    return a <= b.value();
+    return static_cast<double>(a) <= b.value();
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr bool
-operator>=(Quantity<B, T, F, E, C> a, double b)
+operator>=(Quantity<B, T, F, E, C> a, S b)
 {
-    return a.value() >= b;
+    return a.value() >= static_cast<double>(b);
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr bool
-operator>=(double a, Quantity<B, T, F, E, C> b)
+operator>=(S a, Quantity<B, T, F, E, C> b)
 {
-    return a >= b.value();
+    return static_cast<double>(a) >= b.value();
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr bool
-operator==(Quantity<B, T, F, E, C> a, double b)
+operator==(Quantity<B, T, F, E, C> a, S b)
 {
-    return a.value() == b;
+    return a.value() == static_cast<double>(b);
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr bool
-operator==(double a, Quantity<B, T, F, E, C> b)
+operator==(S a, Quantity<B, T, F, E, C> b)
 {
-    return a == b.value();
+    return static_cast<double>(a) == b.value();
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr bool
-operator!=(Quantity<B, T, F, E, C> a, double b)
+operator!=(Quantity<B, T, F, E, C> a, S b)
 {
-    return a.value() != b;
+    return a.value() != static_cast<double>(b);
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr bool
-operator!=(double a, Quantity<B, T, F, E, C> b)
+operator!=(S a, Quantity<B, T, F, E, C> b)
 {
-    return a != b.value();
+    return static_cast<double>(a) != b.value();
 }
 
 // ---------------------------------------------------------------------------
@@ -343,23 +350,23 @@ operator/(Quantity<B1, T1, F1, E1, C1> a, Quantity<B2, T2, F2, E2, C2> b)
 }
 
 /** Dimensionless scaling: `2.0 * t`, `t * 0.5`, `bytes_q / devices`. */
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr Quantity<B, T, F, E, C>
-operator*(Quantity<B, T, F, E, C> a, double s)
+operator*(Quantity<B, T, F, E, C> a, S s)
 {
-    return Quantity<B, T, F, E, C>(a.value() * s);
+    return Quantity<B, T, F, E, C>(a.value() * static_cast<double>(s));
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr Quantity<B, T, F, E, C>
-operator*(double s, Quantity<B, T, F, E, C> a)
+operator*(S s, Quantity<B, T, F, E, C> a)
 {
-    return Quantity<B, T, F, E, C>(s * a.value());
+    return Quantity<B, T, F, E, C>(static_cast<double>(s) * a.value());
 }
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr Quantity<B, T, F, E, C>
-operator/(Quantity<B, T, F, E, C> a, double s)
+operator/(Quantity<B, T, F, E, C> a, S s)
 {
-    return Quantity<B, T, F, E, C>(a.value() / s);
+    return Quantity<B, T, F, E, C>(a.value() / static_cast<double>(s));
 }
 
 /**
@@ -367,11 +374,12 @@ operator/(Quantity<B, T, F, E, C> a, double s)
  * byte count over a bandwidth is seconds-per-byte-scaled junk until the
  * count is annotated: write `Bytes(n) / bw` to get `Seconds`.
  */
-template <int B, int T, int F, int E, int C>
+template <int B, int T, int F, int E, int C, units_internal::Scalar S>
 constexpr units_internal::quantity_of_t<-B, -T, -F, -E, -C>
-operator/(double s, Quantity<B, T, F, E, C> a)
+operator/(S s, Quantity<B, T, F, E, C> a)
 {
-    return units_internal::quantity_of_t<-B, -T, -F, -E, -C>(s / a.value());
+    return units_internal::quantity_of_t<-B, -T, -F, -E, -C>(
+        static_cast<double>(s) / a.value());
 }
 
 // ---------------------------------------------------------------------------

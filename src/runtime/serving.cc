@@ -1,6 +1,7 @@
 #include "runtime/serving.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <map>
 #include <sstream>
@@ -194,14 +195,29 @@ fillQueueDepth(const std::vector<RequestRecord> &records,
 
 }  // namespace
 
+std::vector<std::string>
+ServingConfig::validate() const
+{
+    std::vector<std::string> out;
+    if (max_batch < 1)
+        out.push_back("serving: batch cap 0 must be >= 1");
+    if (bucket_quantum < 1)
+        out.push_back("serving: bucket quantum 0 must be >= 1");
+    if (prefill_chunks < 1)
+        out.push_back("serving: prefill chunks 0 must be >= 1");
+    if (!(std::isfinite(slo) && slo >= 0.0)) {
+        out.push_back("serving: SLO " + std::to_string(slo.value()) +
+                      " s is not finite and non-negative");
+    }
+    return out;
+}
+
 ServingSimulator::ServingSimulator(const InferenceEngine &engine,
                                    ServingConfig cfg)
     : engine_(engine), cfg_(std::move(cfg))
 {
-    HILOS_ASSERT(cfg_.max_batch >= 1, "batch capacity must be >= 1");
-    HILOS_ASSERT(cfg_.bucket_quantum >= 1, "bucket quantum must be >= 1");
-    HILOS_ASSERT(cfg_.slo >= 0.0, "negative SLO: ", cfg_.slo);
-    HILOS_ASSERT(cfg_.prefill_chunks >= 1, "prefill chunks must be >= 1");
+    const std::vector<std::string> diags = cfg_.validate();
+    HILOS_ASSERT(diags.empty(), "invalid serving config: ", diags.front());
 }
 
 ServingResult
@@ -247,11 +263,31 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         }
     }
 
+    // The backlog is a binary heap of record ids under the policy's
+    // admission order: std heaps keep the greatest element at the
+    // front, so the comparator is inverted to put the next request to
+    // admit there. Arrivals push in O(log Q); admission pops a prefix.
+    const auto candidate = [&](std::size_t id) {
+        const RequestRecord &rec = res.records[id];
+        AdmissionCandidate c;
+        c.id = id;
+        c.arrival = rec.arrival;
+        c.input_tokens = rec.input_tokens;
+        c.output_tokens = rec.output_tokens;
+        c.deadline = rec.arrival + cfg_.slo;
+        return c;
+    };
+    const auto admitsLater = [&](std::size_t a, std::size_t b) {
+        return admitsBefore(cfg_.policy, candidate(b), candidate(a));
+    };
     EventQueue eq;
-    std::vector<std::size_t> pending;  // record ids, arrival order
+    std::vector<std::size_t> pending;
     for (const RequestRecord &rec : res.records) {
         const std::size_t id = rec.id;
-        eq.scheduleAt(rec.arrival, [&pending, id] { pending.push_back(id); });
+        eq.scheduleAt(rec.arrival, [&pending, &admitsLater, id] {
+            pending.push_back(id);
+            std::push_heap(pending.begin(), pending.end(), admitsLater);
+        });
     }
 
     struct InFlight {
@@ -269,12 +305,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         std::uint64_t next_chunk = 1;   ///< chunk 0 ran at admission
     };
     std::deque<PrefillGroup> prefilling;
-    const auto prefillingCount = [&prefilling] {
-        std::size_t n = 0;
-        for (const PrefillGroup &g : prefilling)
-            n += g.ids.size();
-        return n;
-    };
+    std::size_t prefilling_count = 0;  // requests across `prefilling`
     std::uint64_t completed = 0;
 
     while (completed < res.requests) {
@@ -284,27 +315,16 @@ ServingSimulator::run(const std::vector<Request> &requests) const
             continue;
         }
 
-        // Admission at the step boundary: order the pending queue by
-        // policy, then admit greedily without leapfrogging — the first
-        // request that does not fit blocks the rest, so FCFS cannot
-        // starve anyone. Requests still mid-prefill hold their batch
-        // and capacity reservations (their KV is materializing).
+        // Admission at the step boundary: pop the backlog heap in
+        // policy order while the next request fits, without
+        // leapfrogging — the first request that does not fit blocks
+        // the rest, so FCFS cannot starve anyone. Admission always
+        // takes a prefix of the policy order, so popping the heap
+        // matches a full sort exactly, and a blocked boundary costs
+        // one capacity probe. Requests still mid-prefill hold their
+        // batch and capacity reservations (their KV is materializing).
         if (!pending.empty() &&
-            flight.size() + prefillingCount() < cfg_.max_batch) {
-            std::vector<AdmissionCandidate> cands;
-            cands.reserve(pending.size());
-            for (std::size_t id : pending) {
-                const RequestRecord &rec = res.records[id];
-                AdmissionCandidate c;
-                c.id = id;
-                c.arrival = rec.arrival;
-                c.input_tokens = rec.input_tokens;
-                c.output_tokens = rec.output_tokens;
-                c.deadline = rec.arrival + cfg_.slo;
-                cands.push_back(c);
-            }
-            orderForAdmission(cfg_.policy, cands);
-
+            flight.size() + prefilling_count < cfg_.max_batch) {
             std::uint64_t flight_ctx = 0;
             for (const InFlight &f : flight)
                 flight_ctx =
@@ -315,29 +335,23 @@ ServingSimulator::run(const std::vector<Request> &requests) const
                                           lifetimeCtx(res.records[id]));
 
             std::vector<std::size_t> admitted;
-            for (const AdmissionCandidate &c : cands) {
+            while (!pending.empty()) {
                 const std::size_t committed =
-                    flight.size() + prefillingCount() + admitted.size();
+                    flight.size() + prefilling_count + admitted.size();
                 if (committed >= cfg_.max_batch)
                     break;
-                const std::uint64_t ctx = std::max(
-                    flight_ctx, lifetimeCtx(res.records[c.id]));
+                const std::size_t id = pending.front();
+                const std::uint64_t ctx =
+                    std::max(flight_ctx, lifetimeCtx(res.records[id]));
                 if (cost.capacity(ctx) < committed + 1)
                     break;
                 flight_ctx = ctx;
-                res.records[c.id].admitted = eq.now();
-                admitted.push_back(c.id);
+                res.records[id].admitted = eq.now();
+                admitted.push_back(id);
+                std::pop_heap(pending.begin(), pending.end(), admitsLater);
+                pending.pop_back();
             }
             if (!admitted.empty()) {
-                pending.erase(
-                    std::remove_if(pending.begin(), pending.end(),
-                                   [&](std::size_t id) {
-                                       return std::find(admitted.begin(),
-                                                        admitted.end(),
-                                                        id) !=
-                                              admitted.end();
-                                   }),
-                    pending.end());
                 // The newly admitted group's first prefill chunk runs
                 // at admission, padded to its longest prompt; at
                 // prefill_chunks == 1 that is the whole prefill and
@@ -358,6 +372,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
                     for (const std::size_t id : g.ids)
                         flight.push_back(InFlight{id, 0});
                 } else {
+                    prefilling_count += g.ids.size();
                     prefilling.push_back(std::move(g));
                 }
             }
@@ -422,6 +437,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
             prefilling.front().next_chunk >= cfg_.prefill_chunks) {
             for (const std::size_t id : prefilling.front().ids)
                 flight.push_back(InFlight{id, 0});
+            prefilling_count -= prefilling.front().ids.size();
             prefilling.pop_front();
         }
     }

@@ -64,6 +64,13 @@ struct ServingConfig {
      * whose later chunks run preemptably under the decode batch.
      */
     std::uint64_t prefill_chunks = 1;
+
+    /**
+     * Domain checks, one named diagnostic per violation (empty =
+     * valid): batch cap, bucket quantum and prefill chunks >= 1, SLO
+     * finite and >= 0. ServingSimulator construction is gated on it.
+     */
+    std::vector<std::string> validate() const;
 };
 
 /** Per-request lifecycle timestamps of one serving run. */

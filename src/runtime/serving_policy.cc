@@ -36,44 +36,40 @@ parseServingPolicy(const std::string &name, ServingPolicy *out)
     return true;
 }
 
+bool
+admitsBefore(ServingPolicy policy, const AdmissionCandidate &a,
+             const AdmissionCandidate &b)
+{
+    switch (policy) {
+    case ServingPolicy::Fcfs:
+        break;
+    case ServingPolicy::Sjf:
+        // Remaining decode work is the output length; prompt length
+        // breaks ties (a shorter prompt prefills faster).
+        if (a.output_tokens != b.output_tokens)
+            return a.output_tokens < b.output_tokens;
+        if (a.input_tokens != b.input_tokens)
+            return a.input_tokens < b.input_tokens;
+        break;
+    case ServingPolicy::SloAware:
+        // Earliest deadline first; deadline = arrival + slo.
+        if (a.deadline != b.deadline)
+            return a.deadline < b.deadline;
+        break;
+    }
+    return std::make_tuple(a.arrival.value(), a.id) <
+           std::make_tuple(b.arrival.value(), b.id);
+}
+
 void
 orderForAdmission(ServingPolicy policy,
                   std::vector<AdmissionCandidate> &pending)
 {
-    const auto fcfs = [](const AdmissionCandidate &a,
-                         const AdmissionCandidate &b) {
-        return std::make_tuple(a.arrival.value(), a.id) <
-               std::make_tuple(b.arrival.value(), b.id);
-    };
-    switch (policy) {
-    case ServingPolicy::Fcfs:
-        std::sort(pending.begin(), pending.end(), fcfs);
-        return;
-    case ServingPolicy::Sjf:
-        // Remaining decode work is the output length; prompt length
-        // breaks ties (a shorter prompt prefills faster).
-        std::sort(pending.begin(), pending.end(),
-                  [&](const AdmissionCandidate &a,
-                      const AdmissionCandidate &b) {
-                      if (a.output_tokens != b.output_tokens)
-                          return a.output_tokens < b.output_tokens;
-                      if (a.input_tokens != b.input_tokens)
-                          return a.input_tokens < b.input_tokens;
-                      return fcfs(a, b);
-                  });
-        return;
-    case ServingPolicy::SloAware:
-        // Earliest deadline first; deadline = arrival + slo.
-        std::sort(pending.begin(), pending.end(),
-                  [&](const AdmissionCandidate &a,
-                      const AdmissionCandidate &b) {
-                      if (a.deadline != b.deadline)
-                          return a.deadline < b.deadline;
-                      return fcfs(a, b);
-                  });
-        return;
-    }
-    HILOS_ASSERT(false, "unknown serving policy");
+    std::sort(pending.begin(), pending.end(),
+              [policy](const AdmissionCandidate &a,
+                       const AdmissionCandidate &b) {
+                  return admitsBefore(policy, a, b);
+              });
 }
 
 }  // namespace hilos

@@ -2,11 +2,13 @@
  * @file
  * Admission / scheduling policies for the online serving simulator.
  *
- * A policy is a deterministic total order over the pending queue; the
- * continuous batcher admits in that order at every step boundary, never
- * leapfrogging a request it cannot fit (so FCFS is starvation-free by
- * construction and the other policies starve only while strictly
- * better-ranked work keeps arriving).
+ * A policy is one strict comparator, `admitsBefore`, defining a
+ * deterministic total order over pending requests; the continuous
+ * batcher keeps its backlog in a heap under that order and admits from
+ * the front at every step boundary, never leapfrogging a request it
+ * cannot fit (so FCFS is starvation-free by construction and the other
+ * policies starve only while strictly better-ranked work keeps
+ * arriving).
  */
 
 #ifndef HILOS_RUNTIME_SERVING_POLICY_H_
@@ -46,10 +48,14 @@ struct AdmissionCandidate {
 };
 
 /**
- * Sort `pending` into admission order. Every policy's ordering ends in
- * the (arrival, id) tiebreak, so the order is total and deterministic
- * for any input permutation.
+ * Strict admission order: true when `a` is admitted before `b` under
+ * `policy`. Every policy's ordering ends in the (arrival, id)
+ * tiebreak, so over distinct ids the order is total and deterministic.
  */
+bool admitsBefore(ServingPolicy policy, const AdmissionCandidate &a,
+                  const AdmissionCandidate &b);
+
+/** Sort `pending` into admission order (by `admitsBefore`). */
 void orderForAdmission(ServingPolicy policy,
                        std::vector<AdmissionCandidate> &pending);
 

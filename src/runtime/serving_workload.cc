@@ -40,13 +40,27 @@ drawClass(const PoissonStreamConfig &cfg, Rng &rng)
 
 }  // namespace
 
+std::vector<std::string>
+PoissonStreamConfig::validate() const
+{
+    std::vector<std::string> out;
+    if (!(std::isfinite(arrival_rate) && arrival_rate > 0.0)) {
+        out.push_back("arrivals: rate " + std::to_string(arrival_rate) +
+                      " req/s is not finite and positive");
+    }
+    if (!(length_jitter >= 0.0 && length_jitter < 1.0)) {
+        out.push_back("arrivals: length jitter " +
+                      std::to_string(length_jitter) +
+                      " is outside [0, 1)");
+    }
+    return out;
+}
+
 std::vector<Request>
 makePoissonArrivals(const PoissonStreamConfig &cfg, Rng &rng)
 {
-    HILOS_ASSERT(cfg.arrival_rate > 0.0,
-                 "arrival rate must be positive: ", cfg.arrival_rate);
-    HILOS_ASSERT(cfg.length_jitter >= 0.0 && cfg.length_jitter < 1.0,
-                 "length jitter must be in [0, 1): ", cfg.length_jitter);
+    const std::vector<std::string> diags = cfg.validate();
+    HILOS_ASSERT(diags.empty(), "invalid arrival stream: ", diags.front());
     std::vector<Request> out;
     out.reserve(cfg.count);
     Seconds clock = 0.0;

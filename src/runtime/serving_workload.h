@@ -43,6 +43,13 @@ struct PoissonStreamConfig {
      * [1 - jitter, 1 + jitter], floored at one token. 0 disables.
      */
     double length_jitter = 0.25;
+
+    /**
+     * Domain checks, one named diagnostic per violation (empty =
+     * valid): rate finite and > 0, jitter in [0, 1).
+     * makePoissonArrivals is gated on it.
+     */
+    std::vector<std::string> validate() const;
 };
 
 /**

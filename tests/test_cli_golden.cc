@@ -9,9 +9,14 @@
  *
  * The binary path arrives via the HILOS_CLI_PATH compile definition
  * ($<TARGET_FILE:hilos_cli>), so the test is build-tree relocatable.
+ *
+ * The same binary also pins the input boundary: out-of-domain serving
+ * options exit 2 with a named diagnostic on stderr, never an abort.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <string>
@@ -86,6 +91,46 @@ TEST(CliGolden, FaultPlanRun)
         capture(std::string(HILOS_CLI_PATH) +
                 " --fault-plan 'seed=7;nand-err=1e-3;fail@2.5=3'"
                 " 2>/dev/null"));
+}
+
+/** Run a CLI invocation; return its exit code and its stderr. */
+int
+runForStderr(const std::string &args, std::string *err)
+{
+    const std::string cmd =
+        std::string(HILOS_CLI_PATH) + " " + args + " 2>&1 >/dev/null";
+    FILE *pipe = popen(cmd.c_str(), "r");
+    if (pipe == nullptr) {
+        ADD_FAILURE() << "popen failed for: " << cmd;
+        return -1;
+    }
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0)
+        err->append(buf, n);
+    const int status = pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CliBoundary, ServeRejectsOutOfDomainOptions)
+{
+    const struct {
+        const char *args;
+        const char *diagnostic;
+    } cases[] = {
+        {"--serve --arrival-rate 0", "arrivals: rate 0"},
+        {"--serve --arrival-rate -1", "arrivals: rate -1"},
+        {"--serve --slo-ms -3", "serving: SLO -0.003"},
+        {"--serve --batch 0", "serving: batch cap 0"},
+    };
+    for (const auto &c : cases) {
+        std::string err;
+        EXPECT_EQ(runForStderr(c.args, &err), 2) << c.args << "\n" << err;
+        EXPECT_NE(err.find(std::string("error: ") + c.diagnostic),
+                  std::string::npos)
+            << c.args << "\n" << err;
+        EXPECT_EQ(err.find("panic"), std::string::npos) << err;
+    }
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -174,6 +176,44 @@ TEST(GoldenSnapshots, ServingPoissonStreamOpt66b)
     Rng rng;  // fixed default seed
     expectGolden("serving_opt66b.txt",
                  serialize(sim.run(makePoissonArrivals(pc, rng))));
+}
+
+TEST(GoldenSnapshots, ServingPoliciesWithTiesOpt66b)
+{
+    // A saturated stream (arrivals far outpace service) whose arrival
+    // times and output lengths are deliberately tied, served under the
+    // non-FCFS policies: pins every admission tiebreak of sjf (output,
+    // input, arrival, id) and slo (deadline, arrival, id) on a backlog
+    // over a hundred deep.
+    const HilosEngine engine(defaultSystem(), HilosOptions{});
+    PoissonStreamConfig pc;
+    pc.arrival_rate = 0.05;
+    pc.count = 200;
+    Rng rng;  // fixed default seed
+    std::vector<Request> stream = makePoissonArrivals(pc, rng);
+    for (std::size_t i = 0; i < stream.size(); i++) {
+        Request &r = stream[i];
+        // Minute-granular arrivals tie neighbours; 32-token output
+        // buckets tie lengths across classes; every fifth request
+        // duplicates its predecessor outright, leaving only the id.
+        r.arrival = Seconds(std::floor(r.arrival.value() / 60.0) * 60.0);
+        r.output_tokens = std::max<std::uint64_t>(
+            32, r.output_tokens / 32 * 32);
+        if (i % 5 == 4)
+            r = stream[i - 1];
+    }
+    std::ostringstream os;
+    for (ServingPolicy policy :
+         {ServingPolicy::Sjf, ServingPolicy::SloAware}) {
+        ServingConfig cfg;
+        cfg.model = modelByName("OPT-66B");
+        cfg.max_batch = 8;
+        cfg.policy = policy;
+        cfg.slo = Seconds(1800.0);
+        os << "==== " << servingPolicyName(policy) << " ====\n"
+           << serialize(ServingSimulator(engine, cfg).run(stream));
+    }
+    expectGolden("serving_policies_opt66b.txt", os.str());
 }
 
 TEST(GoldenSnapshots, BatcherTokenAccountingOpt66b)

@@ -42,6 +42,14 @@ struct ParamExpectation {
     double tolerance;
 };
 
+// Names the test case after the model. Without it GoogleTest prints the
+// raw bytes of the struct, including the `name` pointer, and the ctest
+// names found by gtest_discover_tests change with every ASLR'd build.
+void PrintTo(const ParamExpectation &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
 class ParamCounts : public ::testing::TestWithParam<ParamExpectation>
 {
 };

@@ -7,12 +7,17 @@
  * bit-identical determinism (the simulator draws no randomness and the
  * arrival generators are seeded), lifecycle ordering per request, the
  * in-flight cap, FCFS starvation-freedom, SLO accounting, and the
- * all-at-zero equivalence with the offline batcher.
+ * all-at-zero equivalence with the offline batcher. The backlog heap
+ * is pinned against the full-sort admission order, and a host-time
+ * scaling guard keeps admission from going quadratic in the backlog.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/hilos.h"
@@ -195,6 +200,120 @@ TEST(ServingPolicyOrder, SloAwareIsEarliestDeadlineFirst)
     orderForAdmission(ServingPolicy::SloAware, pending);
     EXPECT_EQ(pending[0].id, 1u);
     EXPECT_EQ(pending[1].id, 0u);
+}
+
+TEST(ServingPolicyOrder, HeapPopOrderMatchesFullSortUnderTies)
+{
+    // The simulator keeps its backlog in a heap under admitsBefore,
+    // pushing arrivals and popping an admitted prefix at each step
+    // boundary. Over seeded random candidate sets whose arrival,
+    // deadline, input and output values tie often, every popped prefix
+    // must equal the front of orderForAdmission's full sort.
+    Rng rng(97);
+    for (ServingPolicy policy : {ServingPolicy::Fcfs, ServingPolicy::Sjf,
+                                 ServingPolicy::SloAware}) {
+        const auto admitsLater = [policy](const AdmissionCandidate &a,
+                                          const AdmissionCandidate &b) {
+            return admitsBefore(policy, b, a);
+        };
+        for (int trial = 0; trial < 200; trial++) {
+            std::vector<AdmissionCandidate> heap;
+            std::size_t next_id = 0;
+            const std::int64_t rounds = rng.uniformInt(1, 8);
+            for (std::int64_t round = 0; round < rounds; round++) {
+                const std::int64_t arrivals = rng.uniformInt(0, 12);
+                for (std::int64_t i = 0; i < arrivals; i++) {
+                    AdmissionCandidate c;
+                    c.id = next_id++;
+                    c.arrival = Seconds(
+                        static_cast<double>(rng.uniformInt(0, 3)));
+                    c.input_tokens =
+                        128 * static_cast<std::uint64_t>(
+                                  rng.uniformInt(1, 3));
+                    c.output_tokens =
+                        32 * static_cast<std::uint64_t>(
+                                 rng.uniformInt(1, 3));
+                    c.deadline = Seconds(
+                        10.0 * static_cast<double>(rng.uniformInt(0, 3)));
+                    heap.push_back(c);
+                    std::push_heap(heap.begin(), heap.end(), admitsLater);
+                }
+                std::vector<AdmissionCandidate> sorted = heap;
+                orderForAdmission(policy, sorted);
+                const auto admit = static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(
+                                          heap.size())));
+                for (std::size_t k = 0; k < admit; k++) {
+                    ASSERT_EQ(heap.front().id, sorted[k].id)
+                        << servingPolicyName(policy) << " trial " << trial
+                        << " round " << round << " pop " << k;
+                    std::pop_heap(heap.begin(), heap.end(), admitsLater);
+                    heap.pop_back();
+                }
+            }
+        }
+    }
+}
+
+TEST(ServingPolicyOrder, AdmitsBeforeIsAStrictOrder)
+{
+    const AdmissionCandidate a{0, Seconds(1.0), 256, 100, Seconds(5.0)};
+    const AdmissionCandidate b{1, Seconds(1.0), 256, 100, Seconds(5.0)};
+    for (ServingPolicy p : {ServingPolicy::Fcfs, ServingPolicy::Sjf,
+                            ServingPolicy::SloAware}) {
+        EXPECT_FALSE(admitsBefore(p, a, a));  // irreflexive
+        // Full ties fall through to the id: exactly one way round.
+        EXPECT_TRUE(admitsBefore(p, a, b));
+        EXPECT_FALSE(admitsBefore(p, b, a));
+    }
+}
+
+TEST(ServingConfigValidate, DefaultsAreValid)
+{
+    EXPECT_TRUE(ServingConfig{}.validate().empty());
+    EXPECT_TRUE(PoissonStreamConfig{}.validate().empty());
+}
+
+TEST(ServingConfigValidate, OneNamedDiagnosticPerViolation)
+{
+    ServingConfig cfg;
+    cfg.max_batch = 0;
+    cfg.bucket_quantum = 0;
+    cfg.prefill_chunks = 0;
+    cfg.slo = Seconds(-3e-3);
+    const std::vector<std::string> diags = cfg.validate();
+    ASSERT_EQ(diags.size(), 4u);
+    EXPECT_NE(diags[0].find("batch cap"), std::string::npos) << diags[0];
+    EXPECT_NE(diags[1].find("bucket quantum"), std::string::npos)
+        << diags[1];
+    EXPECT_NE(diags[2].find("prefill chunks"), std::string::npos)
+        << diags[2];
+    EXPECT_NE(diags[3].find("SLO"), std::string::npos) << diags[3];
+
+    for (double slo : {std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+        ServingConfig bad;
+        bad.slo = Seconds(slo);
+        EXPECT_EQ(bad.validate().size(), 1u) << slo;
+    }
+}
+
+TEST(ServingConfigValidate, PoissonRateMustBeFiniteAndPositive)
+{
+    for (double rate : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()}) {
+        PoissonStreamConfig pc;
+        pc.arrival_rate = rate;
+        const std::vector<std::string> diags = pc.validate();
+        ASSERT_EQ(diags.size(), 1u) << rate;
+        EXPECT_NE(diags[0].find("rate"), std::string::npos) << diags[0];
+    }
+    PoissonStreamConfig pc;
+    pc.length_jitter = 1.0;
+    ASSERT_EQ(pc.validate().size(), 1u);
+    EXPECT_NE(pc.validate()[0].find("jitter"), std::string::npos);
+    Rng rng(1);
+    EXPECT_DEATH(makePoissonArrivals(pc, rng), "length jitter");
 }
 
 /** Shared fixtures: one engine is enough for the scheduler logic. */
@@ -510,6 +629,58 @@ TEST_F(ServingSim, ChunkedPrefillCountsChunksAndPreemptions)
     ASSERT_EQ(chunked.records.size(), reqs.size());
     for (const RequestRecord &r : chunked.records)
         EXPECT_GT(r.first_token, r.admitted);
+}
+
+TEST_F(ServingSim, InvalidConfigDiesNamingTheViolation)
+{
+    const HilosEngine eng = engine();
+    ServingConfig cfg = config();
+    cfg.max_batch = 0;
+    EXPECT_DEATH(ServingSimulator(eng, cfg), "batch cap");
+    cfg = config();
+    cfg.slo = Seconds(-1.0);
+    EXPECT_DEATH(ServingSimulator(eng, cfg), "SLO");
+}
+
+/** Host seconds of one run over `reqs`. */
+double
+timedRunSeconds(const ServingSimulator &sim,
+                const std::vector<Request> &reqs)
+{
+    const auto start = std::chrono::steady_clock::now();
+    const ServingResult res = sim.run(reqs);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(res.feasible) << res.note;
+    return took.count();
+}
+
+TEST_F(ServingSim, SaturatedAdmissionScalesLinearlyInTheBacklog)
+{
+    // At 0.05 req/s arrivals outpace service, so the pending queue
+    // grows with the stream (thousands deep at N = 5k). Admission costs
+    // O(log Q) per request, so 10x the requests should cost about 10x
+    // the host time; re-sorting the whole backlog at every step
+    // boundary costs 75x or more. The 25x bound leaves room for timing
+    // noise without letting a quadratic path through. Sizes alternate
+    // and each keeps its fastest run, so a burst of machine load
+    // cannot land on one size only.
+    const HilosEngine eng = engine();
+    ServingConfig cfg = config(ServingPolicy::Fcfs);
+    cfg.max_batch = 16;
+    const ServingSimulator sim(eng, cfg);
+    const std::size_t n = 5000;
+    const std::vector<Request> small = sampleStream(n, 0.05);
+    const std::vector<Request> large = sampleStream(10 * n, 0.05);
+    double t_n = 0.0, t_10n = 0.0;
+    for (int rep = 0; rep < 3; rep++) {
+        const double a = timedRunSeconds(sim, small);
+        const double b = timedRunSeconds(sim, large);
+        t_n = rep == 0 ? a : std::min(t_n, a);
+        t_10n = rep == 0 ? b : std::min(t_10n, b);
+    }
+    EXPECT_LT(t_10n / t_n, 25.0)
+        << "t(N) " << t_n << " s, t(10N) " << t_10n << " s";
 }
 
 TEST_F(ServingSim, EmptyStreamDies)
