@@ -2,9 +2,10 @@
  * @file
  * Simulator hot-path microbench guarding the profile-driven fast path:
  *
- *  1. engine evaluation, legacy vs cached — a fresh engine + full plan
- *     build per point (exactly what runGrid does) against
- *     runCached()'s verified in-place rebuild;
+ *  1. engine evaluation, cold vs warm — a fresh engine + run() per
+ *     point (every plan built cold through a throwaway PlanCache)
+ *     against one engine whose shared PlanCache rebuilds each plan's
+ *     annotations in place;
  *  2. plan evaluation backends — analytic evaluatePlan and the
  *     event-driven simulatePlan over one HILOS decode plan, plus the
  *     Prefill-phase plan's build/evaluate cost and the deterministic
@@ -12,15 +13,17 @@
  *  3. event-queue throughput — the calendar queue against the binary
  *     heap it replaced (kept verbatim below), on a pre-filled drain
  *     and on a schedule-on-pop workload;
- *  4. end-to-end sweep rate — runGridCached vs runGrid on a Fig-10
- *     style engine x batch x context grid, same binary.
+ *  4. end-to-end sweep rate — cold (a fresh engine + run() per point)
+ *     vs warm (runGrid, one engine and PlanCache per worker) on a
+ *     Fig-10 style engine x batch x context grid, same binary.
  *
  * Deterministic workloads (seeded schedules, fixed grids); wall times
  * of course vary run to run, so the checked-in baseline is compared
  * with a wide relative tolerance (scripts/check_bench_regression.py).
- * Exits non-zero when the cached sweep speedup falls below
- * --min-speedup (default 10): that ratio is the PR's contract, not a
- * tuning suggestion.
+ * Exits non-zero when the warm sweep speedup falls below
+ * --min-speedup: the floor is the lowest ratio observed over repeated
+ * runs at these settings, so a fall below it means the warm path lost
+ * its plan reuse, not noise.
  *
  * Results land in BENCH_sim_perf.json via the shared bench-JSON writer.
  */
@@ -156,11 +159,11 @@ eventQueueWorkload(Queue &q, std::size_t n, std::uint64_t seed)
 }
 
 /** Fig-10-style sweep grid: every baseline plus HILOS across batch x
- *  context, dominated (like the figure) by the storage baselines whose
- *  per-point setup the cached path amortises.  Points are ordered
- *  engine-major — each engine sweeps its whole batch x context grid
- *  before the next, exactly how the figure is produced — which is the
- *  ordering the cached path's per-worker engine slot amortises. */
+ *  context, dominated (like the figure) by the storage baselines.
+ *  Points are ordered engine-major — each engine sweeps its whole
+ *  batch x context grid before the next, exactly how the figure is
+ *  produced — which is the ordering runGrid's per-worker engine and
+ *  PlanCache amortise. */
 std::vector<GridPoint>
 sweepGrid(const ModelConfig &model, std::size_t repeats)
 {
@@ -194,7 +197,7 @@ main(int argc, char **argv)
     // This bench times the production hot path; the opt-in semantic
     // analyzer gate (HILOS_ANALYZE_PLANS, DESIGN.md section 15) adds a
     // per-applyPlan cost to both sweep arms that compresses the
-    // cached-vs-legacy ratio below its contract floor. Scrub it before
+    // warm-vs-cold ratio below its floor. Scrub it before
     // the first plan evaluation caches the flag.
     unsetenv("HILOS_ANALYZE_PLANS");
     ArgParser args("bench_sim_perf");
@@ -202,8 +205,8 @@ main(int argc, char **argv)
     args.addOption("grid-repeats", "3",
                    "repetitions of the base sweep grid");
     args.addOption("repeats", "5", "timing repeats (median taken)");
-    args.addOption("min-speedup", "10",
-                   "fail if cached sweep speedup drops below this");
+    args.addOption("min-speedup", "2.0",
+                   "fail if the warm sweep speedup drops below this");
     args.addOption("json-dir", ".",
                    "where BENCH_sim_perf.json goes (empty = skip)");
     if (!args.parse(argc, argv) || args.helpRequested()) {
@@ -238,10 +241,10 @@ main(int argc, char **argv)
                                                               value);
     };
 
-    // --- 1. engine evaluation: fresh-engine legacy vs cached rebuild ---
+    // --- 1. engine evaluation: fresh engine + run() vs warm PlanCache ---
     const std::vector<std::uint64_t> batches = {4, 8, 16, 32};
     const int eval_iters = 20;
-    const double legacy_flex = timeSeconds(
+    const double cold_flex = timeSeconds(
         [&] {
             for (int i = 0; i < eval_iters; i++) {
                 RunConfig cfg = headline;
@@ -250,14 +253,14 @@ main(int argc, char **argv)
                 const auto engine =
                     makeEngine(EngineKind::FlexSsd, sys);
                 const RunResult r = engine->run(cfg);
-                check(r.feasible, "legacy FLEX(SSD) point infeasible");
+                check(r.feasible, "cold FLEX(SSD) point infeasible");
             }
         },
         repeats);
     PlanCache flex_cache;
     const auto flex_engine = makeEngine(EngineKind::FlexSsd, sys);
     flex_engine->runCached(headline, flex_cache);  // warm the cache
-    const double cached_flex = timeSeconds(
+    const double warm_flex = timeSeconds(
         [&] {
             for (int i = 0; i < eval_iters; i++) {
                 RunConfig cfg = headline;
@@ -265,20 +268,18 @@ main(int argc, char **argv)
                     batches[static_cast<std::size_t>(i) % batches.size()];
                 const RunResult r =
                     flex_engine->runCached(cfg, flex_cache);
-                check(r.feasible, "cached FLEX(SSD) point infeasible");
+                check(r.feasible, "warm FLEX(SSD) point infeasible");
             }
         },
         repeats);
-    report("flex_ssd_legacy", "us/point",
-           1e6 * legacy_flex / eval_iters);
-    report("flex_ssd_cached", "us/point",
-           1e6 * cached_flex / eval_iters);
-    report("flex_ssd_point_speedup", "x", legacy_flex / cached_flex);
+    report("flex_ssd_cold", "us/point", 1e6 * cold_flex / eval_iters);
+    report("flex_ssd_warm", "us/point", 1e6 * warm_flex / eval_iters);
+    report("flex_ssd_warm_speedup", "x", cold_flex / warm_flex);
 
     PlanCache hilos_cache;
     const auto hilos_engine = makeEngine(EngineKind::Hilos, sys);
     hilos_engine->runCached(headline, hilos_cache);
-    const double legacy_hilos = timeSeconds(
+    const double cold_hilos = timeSeconds(
         [&] {
             for (int i = 0; i < eval_iters; i++) {
                 const auto engine = makeEngine(EngineKind::Hilos, sys);
@@ -286,14 +287,14 @@ main(int argc, char **argv)
             }
         },
         repeats);
-    const double cached_hilos = timeSeconds(
+    const double warm_hilos = timeSeconds(
         [&] {
             for (int i = 0; i < eval_iters; i++)
                 (void)hilos_engine->runCached(headline, hilos_cache);
         },
         repeats);
-    report("hilos_legacy", "us/point", 1e6 * legacy_hilos / eval_iters);
-    report("hilos_cached", "us/point", 1e6 * cached_hilos / eval_iters);
+    report("hilos_cold", "us/point", 1e6 * cold_hilos / eval_iters);
+    report("hilos_warm", "us/point", 1e6 * warm_hilos / eval_iters);
 
     // --- 2. plan evaluation backends over one HILOS decode plan ---
     const StepPlan plan =
@@ -384,36 +385,42 @@ main(int argc, char **argv)
     report("event_queue_heap", "Mev/s", fired / heap_t / 1e6);
     report("event_queue_speedup", "x", heap_t / calendar_t);
 
-    // --- 4. end-to-end sweep: runGridCached vs runGrid, same grid ---
+    // --- 4. end-to-end sweep: per-point cold runs vs runGrid ---
     const std::vector<GridPoint> grid = sweepGrid(model, grid_repeats);
-    std::vector<RunResult> legacy_results;
-    std::vector<RunResult> cached_results;
-    const double sweep_legacy = timeSeconds(
-        [&] { legacy_results = runGrid(sys, grid, 1); }, repeats);
-    const double sweep_cached = timeSeconds(
-        [&] { cached_results = runGridCached(sys, grid, 1); }, repeats);
-    check(legacy_results.size() == cached_results.size(),
+    std::vector<RunResult> cold_results(grid.size());
+    std::vector<RunResult> warm_results;
+    const double sweep_cold = timeSeconds(
+        [&] {
+            for (std::size_t i = 0; i < grid.size(); i++)
+                cold_results[i] = makeEngine(grid[i].kind, sys,
+                                             grid[i].hilos)
+                                      ->run(grid[i].run);
+        },
+        repeats);
+    const double sweep_warm = timeSeconds(
+        [&] { warm_results = runGrid(sys, grid, 1); }, repeats);
+    check(cold_results.size() == warm_results.size(),
           "sweep result count mismatch");
     for (std::size_t i = 0; i < grid.size(); i++) {
-        check(legacy_results[i].decodeThroughput() ==
-                  cached_results[i].decodeThroughput(),
-              "cached sweep diverged from legacy at point " +
+        check(cold_results[i].decodeThroughput() ==
+                  warm_results[i].decodeThroughput(),
+              "warm sweep diverged from cold at point " +
                   std::to_string(i));
     }
     const double pts = static_cast<double>(grid.size());
-    const double speedup = sweep_legacy / sweep_cached;
-    report("sweep_legacy", "points/s", pts / sweep_legacy);
-    report("sweep_cached", "points/s", pts / sweep_cached);
-    report("sweep_speedup", "x", speedup);
+    const double speedup = sweep_cold / sweep_warm;
+    report("sweep_cold", "points/s", pts / sweep_cold);
+    report("sweep_warm", "points/s", pts / sweep_warm);
+    report("sweep_warm_speedup", "x", speedup);
 
     table.print(std::cout);
-    std::cout << "sweep: " << grid.size() << " points, cached speedup "
+    std::cout << "sweep: " << grid.size() << " points, warm speedup "
               << bench::jsonNumber(speedup) << "x (floor "
               << bench::jsonNumber(min_speedup) << "x)\n";
     if (!args.get("json-dir").empty())
         json.write(args.get("json-dir"));
     check(speedup >= min_speedup,
-          "cached sweep speedup below the contract floor");
+          "warm sweep speedup below the floor");
     std::cout << "OK\n";
     return 0;
 }

@@ -319,10 +319,6 @@ main(int argc, char **argv)
     run.output_len = static_cast<std::uint64_t>(args.getInt("output"));
     run.prefill_chunks =
         static_cast<std::uint64_t>(args.getInt("prefill-chunks"));
-    if (args.ok() && run.prefill_chunks < 1) {
-        std::cerr << "error: --prefill-chunks needs at least 1\n";
-        return 2;
-    }
 
     HilosOptions opts;
     opts.num_devices = static_cast<unsigned>(args.getInt("devices"));
@@ -338,6 +334,10 @@ main(int argc, char **argv)
         std::cerr << "error: " << args.error() << "\n";
         return 2;
     }
+    // --serve checks its own domain below (ServingConfig::validate),
+    // where --batch is the batch cap rather than a run's batch.
+    if (!args.getFlag("serve") && !reportDiagnostics(run.validate()))
+        return 2;
     const std::string fault_spec = args.get("fault-plan");
     if (!fault_spec.empty()) {
         try {

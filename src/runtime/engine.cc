@@ -1,6 +1,7 @@
 #include "runtime/engine.h"
 
 #include "common/logging.h"
+#include "runtime/plan_cache.h"
 
 namespace hilos {
 
@@ -35,10 +36,22 @@ StageBreakdown::sum() const
     return total;
 }
 
-RunResult
-InferenceEngine::runCached(const RunConfig &cfg, PlanCache &) const
+std::vector<std::string>
+RunConfig::validate() const
 {
-    return run(cfg);
+    std::vector<std::string> out;
+    if (batch < 1)
+        out.push_back("run: batch 0 must be >= 1");
+    if (prefill_chunks < 1)
+        out.push_back("run: prefill chunks 0 must be >= 1");
+    return out;
+}
+
+RunResult
+InferenceEngine::run(const RunConfig &cfg) const
+{
+    PlanCache cache;
+    return runCached(cfg, cache);
 }
 
 bool

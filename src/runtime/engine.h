@@ -33,6 +33,13 @@ struct RunConfig {
      * payoff is serving-side preemptability (see runtime/serving.h).
      */
     std::uint64_t prefill_chunks = 1;
+
+    /**
+     * One named diagnostic per out-of-domain field (batch and
+     * prefill_chunks must be >= 1); empty when the run is well-formed.
+     * Every plan-driven run asserts it.
+     */
+    std::vector<std::string> validate() const;
 };
 
 /** Interconnect/storage traffic per decoding step (all layers). */
@@ -196,17 +203,18 @@ class InferenceEngine
     /** Display name used in bench tables. */
     virtual std::string name() const = 0;
 
-    /** Model the full run analytically. */
-    virtual RunResult run(const RunConfig &cfg) const = 0;
+    /** Model the full run analytically: runCached() over a fresh
+     *  PlanCache. */
+    RunResult run(const RunConfig &cfg) const;
 
     /**
      * run() with plan-structure reuse: plan-emitting engines rebuild
      * only the priced annotations when `cache` already holds their
      * topology (see runtime/plan_cache.h). Results are bit-identical
-     * to run() for every engine and cache state; the base
-     * implementation ignores the cache.
+     * to run() for every engine and cache state.
      */
-    virtual RunResult runCached(const RunConfig &cfg, PlanCache &cache) const;
+    virtual RunResult runCached(const RunConfig &cfg,
+                                PlanCache &cache) const = 0;
 };
 
 /**

@@ -129,7 +129,7 @@ FleetEngine::servingMask(const HostFaultView &view, Seconds now) const
 }
 
 RunResult
-FleetEngine::run(const RunConfig &cfg) const
+FleetEngine::runCached(const RunConfig &cfg, PlanCache &) const
 {
     const unsigned H = fleet_.hosts;
     const HostFaultView view(fleet_.fault_plan, H);

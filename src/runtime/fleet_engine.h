@@ -67,7 +67,10 @@ class FleetEngine : public InferenceEngine
                 const HilosOptions &host_opts = HilosOptions{});
 
     std::string name() const override;
-    RunResult run(const RunConfig &cfg) const override;
+    /** The fleet run; `cache` is unused (host runs price their own
+     *  plans, memoised per host batch). */
+    RunResult runCached(const RunConfig &cfg,
+                        PlanCache &cache) const override;
 
     /**
      * Event-sim backend of the fleet decode step: each serving host's

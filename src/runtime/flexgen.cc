@@ -4,18 +4,14 @@
 
 #include "common/logging.h"
 #include "runtime/cost_model.h"
-#include "runtime/plan_cache.h"
 #include "runtime/prefill_constants.h"
+#include "storage/ssd.h"
 
 namespace hilos {
 
 FlexGenEngine::FlexGenEngine(const SystemConfig &sys, FlexTier tier)
     : sys_(sys), tier_(tier)
 {
-    if (tier_ != FlexTier::HostDram)
-        kv_ssd_.emplace(tier_ == FlexTier::BaselineSsds
-                            ? sys_.baseline_ssd
-                            : sys_.smartssd.nand);
 }
 
 std::string
@@ -165,9 +161,10 @@ FlexGenEngine::makePlan(const RunConfig &cfg, RunResult &res,
         const std::uint64_t devices =
             tier_ == FlexTier::BaselineSsds ? sys_.num_baseline_ssds : 16;
         const std::uint64_t slices = b * m.kv_heads;
-        kv_write = kv_ssd_->randomWriteTime(
-            ceilDiv(slices, devices),
-            2 * m.headDim() * m.dtype_bytes);
+        kv_write = ssdRandomWriteTime(
+            tier_ == FlexTier::BaselineSsds ? sys_.baseline_ssd
+                                            : sys_.smartssd.nand,
+            ceilDiv(slices, devices), 2 * m.headDim() * m.dtype_bytes);
     }
 
     // --- The decode-step plan ---
@@ -328,65 +325,6 @@ FlexGenEngine::makePrefillPlan(const RunConfig &cfg,
 
     plan.busy_step_fraction.gpu = kPrefillGpuBusyFraction;
     plan.busy_step_fraction.dram = kPrefillDramBusyFractionOffload;
-}
-
-RunResult
-FlexGenEngine::run(const RunConfig &cfg) const
-{
-    RunResult res;
-    StepPlan plan;
-    makePlan(cfg, res, plan);
-    if (!plan.feasible)
-        return res;
-    if (!applyPrefillPhase(*this, cfg, res))
-        return res;
-    applyPlan(plan, cfg, res);
-    return res;
-}
-
-RunResult
-FlexGenEngine::runCached(const RunConfig &cfg, PlanCache &cache) const
-{
-    RunResult res;
-    const StepPlan &plan = cache.build(
-        PlanCache::keyOf(name(), cfg.model.name), [&](StepPlan &p) {
-            res = RunResult{};
-            makePlan(cfg, res, p);
-        });
-    if (!plan.feasible)
-        return res;
-    const std::uint64_t prefill_key =
-        PlanCache::keyOf(name(), cfg.model.name, PlanPhase::Prefill);
-    for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
-        const StepPlan &pre = cache.build(
-            prefill_key,
-            [&](StepPlan &p) {
-                makePrefillPlan(cfg, i, cfg.prefill_chunks, p);
-            });
-        if (!applyPrefillPlan(pre, res))
-            return res;
-    }
-    applyPlan(plan, cfg, res);
-    return res;
-}
-
-StepPlan
-FlexGenEngine::decodeStepPlan(const RunConfig &cfg) const
-{
-    RunResult scratch;
-    StepPlan plan;
-    makePlan(cfg, scratch, plan);
-    return plan;
-}
-
-StepPlan
-FlexGenEngine::prefillStepPlan(const RunConfig &cfg,
-                               std::uint64_t chunk_index,
-                               std::uint64_t chunk_count) const
-{
-    StepPlan plan;
-    makePrefillPlan(cfg, chunk_index, chunk_count, plan);
-    return plan;
 }
 
 }  // namespace hilos

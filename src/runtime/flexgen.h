@@ -9,13 +9,11 @@
 #ifndef HILOS_RUNTIME_FLEXGEN_H_
 #define HILOS_RUNTIME_FLEXGEN_H_
 
-#include <optional>
 #include <string>
 
 #include "runtime/engine.h"
 #include "runtime/step_plan.h"
 #include "runtime/system_config.h"
-#include "storage/ssd.h"
 
 namespace hilos {
 
@@ -29,19 +27,12 @@ enum class FlexTier {
 /**
  * FlexGen baseline engine.
  */
-class FlexGenEngine : public InferenceEngine, public StepPlanSource
+class FlexGenEngine : public StepPlanSource
 {
   public:
     FlexGenEngine(const SystemConfig &sys, FlexTier tier);
 
     std::string name() const override;
-    RunResult run(const RunConfig &cfg) const override;
-    RunResult runCached(const RunConfig &cfg,
-                        PlanCache &cache) const override;
-    StepPlan decodeStepPlan(const RunConfig &cfg) const override;
-    StepPlan prefillStepPlan(const RunConfig &cfg,
-                             std::uint64_t chunk_index = 0,
-                             std::uint64_t chunk_count = 1) const override;
 
     /** Aggregate storage read bandwidth of this tier's fleet. */
     Bandwidth storageReadBw() const;
@@ -50,16 +41,16 @@ class FlexGenEngine : public InferenceEngine, public StepPlanSource
 
     FlexTier tier() const { return tier_; }
 
-  private:
-    /** Capacity decisions into `res`, decode step into `plan`. */
+  protected:
     void makePlan(const RunConfig &cfg, RunResult &res,
-                  StepPlan &plan) const;
+                  StepPlan &plan) const override;
 
-    /** Prefill-phase plan for one chunk (shares makePlan's capacity
-     *  decision via effectiveBatch). */
+    /** Shares makePlan's capacity decision via effectiveBatch. */
     void makePrefillPlan(const RunConfig &cfg, std::uint64_t chunk_index,
-                         std::uint64_t chunk_count, StepPlan &plan) const;
+                         std::uint64_t chunk_count,
+                         StepPlan &plan) const override;
 
+  private:
     /** The capacity-shrunk batch (0 = infeasible); sets `note` when the
      *  batch shrank or the config does not fit. */
     std::uint64_t effectiveBatch(const RunConfig &cfg,
@@ -67,13 +58,6 @@ class FlexGenEngine : public InferenceEngine, public StepPlanSource
 
     SystemConfig sys_;
     FlexTier tier_;
-    /**
-     * This tier's KV device model, constructed once: the Ssd
-     * constructor builds a scaled FTL for wear accounting, which
-     * dominated makePlan when rebuilt per grid point. Empty for the
-     * DRAM tier (no device on the KV path).
-     */
-    std::optional<Ssd> kv_ssd_;
 };
 
 }  // namespace hilos

@@ -82,80 +82,43 @@ HilosEngine::idealConditions() const
 }
 
 RunResult
-HilosEngine::run(const RunConfig &cfg) const
-{
-    if (opts_.fault_plan.empty())
-        return runConditioned(cfg, idealConditions());
-    return runWithFaults(cfg);
-}
-
-RunResult
 HilosEngine::runCached(const RunConfig &cfg, PlanCache &cache) const
 {
     if (!opts_.fault_plan.empty())
         return runWithFaults(cfg);
-    const FleetConditions cond = idealConditions();
-    RunResult res;
-    const StepPlan &plan = cache.build(
-        PlanCache::keyOf(name(), cfg.model.name), [&](StepPlan &p) {
-            res = RunResult{};
-            makePlan(cfg, cond, res, p);
-        });
-    if (!plan.feasible)
-        return res;
-    const std::uint64_t prefill_key =
-        PlanCache::keyOf(name(), cfg.model.name, PlanPhase::Prefill);
-    for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
-        const StepPlan &pre = cache.build(
-            prefill_key,
-            [&](StepPlan &p) {
-                makePrefillPlan(cfg, cond, i, cfg.prefill_chunks, p);
-            });
-        if (!applyPrefillPlan(pre, res))
-            return res;
-    }
-    applyPlan(plan, cfg, res);
-    return res;
+    return StepPlanSource::runCached(cfg, cache);
 }
 
 RunResult
 HilosEngine::runConditioned(const RunConfig &cfg,
                             const FleetConditions &cond) const
 {
-    HILOS_ASSERT(cfg.prefill_chunks >= 1, "prefill_chunks must be >= 1");
-    RunResult res;
-    StepPlan plan;
-    makePlan(cfg, cond, res, plan);
-    if (!plan.feasible)
-        return res;
-    for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
-        StepPlan pre;
-        makePrefillPlan(cfg, cond, i, cfg.prefill_chunks, pre);
-        if (!applyPrefillPlan(pre, res))
-            return res;
-    }
-    applyPlan(plan, cfg, res);
-    return res;
+    PlanCache cache;
+    return runPlans(
+        cfg, cache,
+        [this, &cond](const RunConfig &c, RunResult &res, StepPlan &plan) {
+            makePlan(c, cond, res, plan);
+        },
+        [this, &cond](const RunConfig &c, std::uint64_t index,
+                      std::uint64_t count, StepPlan &plan) {
+            makePrefillPlan(c, cond, index, count, plan);
+        });
 }
 
-StepPlan
-HilosEngine::decodeStepPlan(const RunConfig &cfg) const
+void
+HilosEngine::makePlan(const RunConfig &cfg, RunResult &res,
+                      StepPlan &plan) const
 {
-    RunResult scratch;
-    StepPlan plan;
-    makePlan(cfg, idealConditions(), scratch, plan);
-    return plan;
+    makePlan(cfg, idealConditions(), res, plan);
 }
 
-StepPlan
-HilosEngine::prefillStepPlan(const RunConfig &cfg,
+void
+HilosEngine::makePrefillPlan(const RunConfig &cfg,
                              std::uint64_t chunk_index,
-                             std::uint64_t chunk_count) const
+                             std::uint64_t chunk_count,
+                             StepPlan &plan) const
 {
-    StepPlan plan;
-    makePrefillPlan(cfg, idealConditions(), chunk_index, chunk_count,
-                    plan);
-    return plan;
+    makePrefillPlan(cfg, idealConditions(), chunk_index, chunk_count, plan);
 }
 
 void

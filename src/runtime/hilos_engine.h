@@ -53,23 +53,16 @@ struct HilosOptions {
  * HILOS engine: analytic end-to-end model mirroring the real system's
  * execution schedule.
  */
-class HilosEngine : public InferenceEngine, public StepPlanSource
+class HilosEngine : public StepPlanSource
 {
   public:
     HilosEngine(const SystemConfig &sys, const HilosOptions &opts);
 
     std::string name() const override;
-    RunResult run(const RunConfig &cfg) const override;
-    /** Plan-structure-cached run(); fault plans bypass the cache (the
-     *  degraded-mode epochs rebuild plans under varying conditions). */
+    /** The shared plan-run body; a non-empty fault plan goes to the
+     *  degraded-mode epochs instead, which bypass `cache`. */
     RunResult runCached(const RunConfig &cfg,
                         PlanCache &cache) const override;
-    /** The zero-fault (ideal-fleet) decode-step plan. */
-    StepPlan decodeStepPlan(const RunConfig &cfg) const override;
-    /** The zero-fault (ideal-fleet) prefill plan for one chunk. */
-    StepPlan prefillStepPlan(const RunConfig &cfg,
-                             std::uint64_t chunk_index = 0,
-                             std::uint64_t chunk_count = 1) const override;
 
     /** Aggregate internal P2P read bandwidth of the fleet. */
     Bandwidth internalReadBw() const;
@@ -80,6 +73,15 @@ class HilosEngine : public InferenceEngine, public StepPlanSource
     double selectedAlpha(const RunConfig &cfg) const;
 
     const HilosOptions &options() const { return opts_; }
+
+  protected:
+    /** The zero-fault (ideal-fleet) decode-step plan. */
+    void makePlan(const RunConfig &cfg, RunResult &res,
+                  StepPlan &plan) const override;
+    /** The zero-fault (ideal-fleet) prefill plan for one chunk. */
+    void makePrefillPlan(const RunConfig &cfg, std::uint64_t chunk_index,
+                         std::uint64_t chunk_count,
+                         StepPlan &plan) const override;
 
   private:
     /**
@@ -105,7 +107,7 @@ class HilosEngine : public InferenceEngine, public StepPlanSource
     double alphaFor(const RunConfig &cfg, Bandwidth fleet_read,
                     Bandwidth gds) const;
 
-    /** The analytic model evaluated under fixed fleet conditions. */
+    /** run() with `cond` bound into the plan builders. */
     RunResult runConditioned(const RunConfig &cfg,
                              const FleetConditions &cond) const;
 

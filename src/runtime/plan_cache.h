@@ -22,8 +22,12 @@
  * topology unchanged, so the cache republishes the plan with
  * `structure_validated` set and applyPlan takes its fast path.
  *
- * Not thread-safe: sweep workers each own a PlanCache (see
- * runGridCached in core/hilos.h).
+ * Every plan engine runs through one body over a PlanCache
+ * (StepPlanSource::runCached); InferenceEngine::run passes a fresh
+ * cache, so cached and uncached results agree by construction.
+ *
+ * Not thread-safe: sweep workers each own a PlanCache (see runGrid in
+ * core/hilos.h).
  */
 
 #ifndef HILOS_RUNTIME_PLAN_CACHE_H_

@@ -5,7 +5,7 @@
 
 #include "common/logging.h"
 #include "runtime/plan_analyzer.h"
-#include "sim/pipeline.h"
+#include "runtime/plan_cache.h"
 
 namespace hilos {
 
@@ -841,7 +841,8 @@ evaluatePlan(const StepPlan &plan)
             lane_best[c] = std::max(lane_best[c], pp[c]);
         }
     }
-    ev.layer_critical_path = overlapMax(ev.op_finish);
+    for (const Seconds t : ev.op_finish)
+        ev.layer_critical_path = std::max(ev.layer_critical_path, t);
 
     Seconds step =
         L * ev.layer_critical_path / plan.layer_time_divisor;
@@ -998,18 +999,64 @@ propagatePrefill(const RunResult &from, RunResult &res)
     res.prefill_busy = from.prefill_busy;
 }
 
-bool
-applyPrefillPhase(const StepPlanSource &source, const RunConfig &cfg,
-                  RunResult &res)
+RunResult
+StepPlanSource::runCached(const RunConfig &cfg, PlanCache &cache) const
 {
-    HILOS_ASSERT(cfg.prefill_chunks >= 1,
-                 "a run needs at least one prefill chunk");
+    return runPlans(
+        cfg, cache,
+        [this](const RunConfig &c, RunResult &res, StepPlan &plan) {
+            makePlan(c, res, plan);
+        },
+        [this](const RunConfig &c, std::uint64_t index, std::uint64_t count,
+               StepPlan &plan) { makePrefillPlan(c, index, count, plan); });
+}
+
+RunResult
+StepPlanSource::runPlans(const RunConfig &cfg, PlanCache &cache,
+                         const DecodeBuilder &decode,
+                         const PrefillBuilder &prefill) const
+{
+    const std::vector<std::string> problems = cfg.validate();
+    HILOS_ASSERT(problems.empty(), "invalid run config: ", problems.front());
+    const std::string engine = name();
+    RunResult res;
+    const StepPlan &plan = cache.build(
+        PlanCache::keyOf(engine, cfg.model.name), [&](StepPlan &p) {
+            res = RunResult{};
+            decode(cfg, res, p);
+        });
+    if (!plan.feasible)
+        return res;
+    const std::uint64_t prefill_key =
+        PlanCache::keyOf(engine, cfg.model.name, PlanPhase::Prefill);
     for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
-        if (!applyPrefillPlan(
-                source.prefillStepPlan(cfg, i, cfg.prefill_chunks), res))
-            return false;
+        const StepPlan &pre = cache.build(prefill_key, [&](StepPlan &p) {
+            prefill(cfg, i, cfg.prefill_chunks, p);
+        });
+        if (!applyPrefillPlan(pre, res))
+            return res;
     }
-    return true;
+    applyPlan(plan, cfg, res);
+    return res;
+}
+
+StepPlan
+StepPlanSource::decodeStepPlan(const RunConfig &cfg) const
+{
+    RunResult scratch;
+    StepPlan plan;
+    makePlan(cfg, scratch, plan);
+    return plan;
+}
+
+StepPlan
+StepPlanSource::prefillStepPlan(const RunConfig &cfg,
+                                std::uint64_t chunk_index,
+                                std::uint64_t chunk_count) const
+{
+    StepPlan plan;
+    makePrefillPlan(cfg, chunk_index, chunk_count, plan);
+    return plan;
 }
 
 void

@@ -55,6 +55,7 @@
 #define HILOS_RUNTIME_STEP_PLAN_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -513,18 +514,28 @@ void propagatePrefill(const RunResult &from, RunResult &res);
 void accumulateWeighted(RunResult &acc, const RunResult &r, double w);
 
 /**
- * Interface of every engine that can emit its phases as StepPlans (all
- * engines implement it alongside InferenceEngine). Plans reflect the
- * same capacity/batch-shrink decisions as run(); infeasible
- * configurations yield a plan with feasible == false.
+ * Base of every engine that emits its phases as StepPlans (all
+ * single-host engines). A subclass supplies only name() and the two
+ * plan builders; this class owns the one run body every plan engine
+ * shares:
+ *
+ *   decode plan through the PlanCache -> feasibility check -> each
+ *   prefill chunk through the cache, folded by applyPrefillPlan ->
+ *   applyPlan.
+ *
+ * run() is this body over a throwaway cache, so cached and uncached
+ * results are bit-identical by construction. Plans reflect the same
+ * capacity/batch-shrink decisions as run(); infeasible configurations
+ * yield a plan with feasible == false.
  */
-class StepPlanSource
+class StepPlanSource : public InferenceEngine
 {
   public:
-    virtual ~StepPlanSource() = default;
+    RunResult runCached(const RunConfig &cfg,
+                        PlanCache &cache) const override;
 
     /** Emit the decode-step plan for one run configuration. */
-    virtual StepPlan decodeStepPlan(const RunConfig &cfg) const = 0;
+    StepPlan decodeStepPlan(const RunConfig &cfg) const;
 
     /**
      * Emit the Prefill-phase plan for chunk `chunk_index` of
@@ -532,18 +543,43 @@ class StepPlanSource
      * evaluation is bit-identical to the engine's historical
      * closed-form prefill_time.
      */
-    virtual StepPlan prefillStepPlan(const RunConfig &cfg,
-                                     std::uint64_t chunk_index = 0,
-                                     std::uint64_t chunk_count = 1) const = 0;
-};
+    StepPlan prefillStepPlan(const RunConfig &cfg,
+                             std::uint64_t chunk_index = 0,
+                             std::uint64_t chunk_count = 1) const;
 
-/**
- * Build every prefill chunk of `cfg` (cfg.prefill_chunks of them) via
- * `source` and fold them into `res` with applyPrefillPlan. Returns
- * false as soon as a chunk is infeasible.
- */
-bool applyPrefillPhase(const StepPlanSource &source, const RunConfig &cfg,
-                       RunResult &res);
+  protected:
+    /**
+     * Capacity decisions into `res` (effective batch, notes, and any
+     * engine-specific fields), the decode step into `plan` — fresh, or
+     * in rebuild mode under a PlanCache.
+     */
+    virtual void makePlan(const RunConfig &cfg, RunResult &res,
+                          StepPlan &plan) const = 0;
+
+    /** Prefill-phase plan for chunk `chunk_index` of `chunk_count`. */
+    virtual void makePrefillPlan(const RunConfig &cfg,
+                                 std::uint64_t chunk_index,
+                                 std::uint64_t chunk_count,
+                                 StepPlan &plan) const = 0;
+
+    /** Builder signatures of runPlans (those of makePlan and
+     *  makePrefillPlan). */
+    using DecodeBuilder =
+        std::function<void(const RunConfig &, RunResult &, StepPlan &)>;
+    using PrefillBuilder =
+        std::function<void(const RunConfig &, std::uint64_t,
+                           std::uint64_t, StepPlan &)>;
+
+    /**
+     * The run body over explicit builders. runCached() passes the
+     * virtual builders; an engine that prices a run under extra state
+     * (HILOS fleet conditions) binds that state into the builders
+     * instead of copying the body. Asserts cfg.validate().
+     */
+    RunResult runPlans(const RunConfig &cfg, PlanCache &cache,
+                       const DecodeBuilder &decode,
+                       const PrefillBuilder &prefill) const;
+};
 
 }  // namespace hilos
 

@@ -39,35 +39,27 @@ struct VllmClusterConfig {
 };
 
 /** vLLM tensor+pipeline-parallel baseline engine. */
-class VllmMultiGpuEngine : public InferenceEngine, public StepPlanSource
+class VllmMultiGpuEngine : public StepPlanSource
 {
   public:
     VllmMultiGpuEngine(const SystemConfig &sys,
                        const VllmClusterConfig &cluster);
 
     std::string name() const override { return "vLLM(2x4xA6000)"; }
-    RunResult run(const RunConfig &cfg) const override;
-    RunResult runCached(const RunConfig &cfg,
-                        PlanCache &cache) const override;
-    StepPlan decodeStepPlan(const RunConfig &cfg) const override;
-    StepPlan prefillStepPlan(const RunConfig &cfg,
-                             std::uint64_t chunk_index = 0,
-                             std::uint64_t chunk_count = 1) const override;
 
     /** Aggregate GPU memory of the cluster. */
     double totalGpuMemory() const;
 
     const VllmClusterConfig &cluster() const { return cluster_; }
 
-  private:
-    /** Capacity decisions into `res`, decode step into `plan`. */
+  protected:
     void makePlan(const RunConfig &cfg, RunResult &res,
-                  StepPlan &plan) const;
-
-    /** Prefill-phase plan for one chunk. */
+                  StepPlan &plan) const override;
     void makePrefillPlan(const RunConfig &cfg, std::uint64_t chunk_index,
-                         std::uint64_t chunk_count, StepPlan &plan) const;
+                         std::uint64_t chunk_count,
+                         StepPlan &plan) const override;
 
+  private:
     SystemConfig sys_;
     VllmClusterConfig cluster_;
 };

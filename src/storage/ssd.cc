@@ -79,17 +79,24 @@ Ssd::degrade(double read_slowdown)
 }
 
 Seconds
-Ssd::randomWriteTime(std::uint64_t count, std::uint64_t bytes) const
+ssdRandomWriteTime(const SsdConfig &cfg, std::uint64_t count,
+                   std::uint64_t bytes)
 {
     if (count == 0)
         return 0.0;
     const std::uint64_t padded = roundUp(std::max<std::uint64_t>(bytes, 1),
-                                         cfg_.page_bytes);
+                                         cfg.page_bytes);
     const Seconds iops_time =
-        static_cast<double>(count) / cfg_.rand_write_iops;
+        static_cast<double>(count) / cfg.rand_write_iops;
     const Seconds bw_time =
-        Bytes(static_cast<double>(count * padded)) / cfg_.seq_write_bw;
-    return cfg_.write_latency + std::max(iops_time, bw_time);
+        Bytes(static_cast<double>(count * padded)) / cfg.seq_write_bw;
+    return cfg.write_latency + std::max(iops_time, bw_time);
+}
+
+Seconds
+Ssd::randomWriteTime(std::uint64_t count, std::uint64_t bytes) const
+{
+    return ssdRandomWriteTime(cfg_, count, bytes);
 }
 
 void

@@ -42,6 +42,15 @@ struct SsdConfig {
     double enduranceBytes() const { return endurance_pbw * 1e15; }
 };
 
+/**
+ * Time for `count` random writes of `bytes` each on a device with
+ * datasheet `cfg`. Writes smaller than a page are padded to page
+ * granularity (RMW), so a 256 B KV entry write costs a full 4 KiB
+ * program slot. Pure timing: needs no device state, hence no FTL.
+ */
+Seconds ssdRandomWriteTime(const SsdConfig &cfg, std::uint64_t count,
+                           std::uint64_t bytes);
+
 /** Device health for degraded-mode execution. */
 enum class SsdHealth {
     Healthy,
@@ -80,11 +89,8 @@ class Ssd
     Seconds writeTime(std::uint64_t bytes) const;
     /** Time for `count` random reads of `bytes` each. */
     Seconds randomReadTime(std::uint64_t count, std::uint64_t bytes) const;
-    /**
-     * Time for `count` random writes of `bytes` each. Writes smaller
-     * than a page are padded to page granularity (RMW), so a 256 B KV
-     * entry write costs a full 4 KiB program slot.
-     */
+    /** Time for `count` random writes of `bytes` each
+     *  (ssdRandomWriteTime over this device's config). */
     Seconds randomWriteTime(std::uint64_t count, std::uint64_t bytes) const;
 
     /**

@@ -10,8 +10,9 @@
  * The binary path arrives via the HILOS_CLI_PATH compile definition
  * ($<TARGET_FILE:hilos_cli>), so the test is build-tree relocatable.
  *
- * The same binary also pins the input boundary: out-of-domain serving
- * options exit 2 with a named diagnostic on stderr, never an abort.
+ * The same binary also pins the input boundary: out-of-domain run and
+ * serving options exit 2 with a named diagnostic on stderr, never an
+ * abort.
  */
 
 #include <gtest/gtest.h>
@@ -112,25 +113,31 @@ runForStderr(const std::string &args, std::string *err)
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+/** Expect `args` to exit 2 with "error: <diagnostic>" and no panic. */
+void
+expectRejected(const char *args, const char *diagnostic)
+{
+    std::string err;
+    EXPECT_EQ(runForStderr(args, &err), 2) << args << "\n" << err;
+    EXPECT_NE(err.find(std::string("error: ") + diagnostic),
+              std::string::npos)
+        << args << "\n" << err;
+    EXPECT_EQ(err.find("panic"), std::string::npos) << err;
+}
+
 TEST(CliBoundary, ServeRejectsOutOfDomainOptions)
 {
-    const struct {
-        const char *args;
-        const char *diagnostic;
-    } cases[] = {
-        {"--serve --arrival-rate 0", "arrivals: rate 0"},
-        {"--serve --arrival-rate -1", "arrivals: rate -1"},
-        {"--serve --slo-ms -3", "serving: SLO -0.003"},
-        {"--serve --batch 0", "serving: batch cap 0"},
-    };
-    for (const auto &c : cases) {
-        std::string err;
-        EXPECT_EQ(runForStderr(c.args, &err), 2) << c.args << "\n" << err;
-        EXPECT_NE(err.find(std::string("error: ") + c.diagnostic),
-                  std::string::npos)
-            << c.args << "\n" << err;
-        EXPECT_EQ(err.find("panic"), std::string::npos) << err;
-    }
+    expectRejected("--serve --arrival-rate 0", "arrivals: rate 0");
+    expectRejected("--serve --arrival-rate -1", "arrivals: rate -1");
+    expectRejected("--serve --slo-ms -3", "serving: SLO -0.003");
+    expectRejected("--serve --batch 0", "serving: batch cap 0");
+}
+
+TEST(CliBoundary, OfflineRunRejectsOutOfDomainRunConfig)
+{
+    expectRejected("--batch 0", "run: batch 0");
+    expectRejected("--engine flex-ssd --batch 0", "run: batch 0");
+    expectRejected("--prefill-chunks 0", "run: prefill chunks 0");
 }
 
 }  // namespace

@@ -330,5 +330,36 @@ TEST(MaxFittingBatch, ExactFitBoundary)
         0u);
 }
 
+TEST(RunConfigValidate, OneNamedDiagnosticPerViolation)
+{
+    EXPECT_TRUE(RunConfig{}.validate().empty());
+    RunConfig cfg;
+    cfg.batch = 0;
+    cfg.prefill_chunks = 0;
+    const std::vector<std::string> diags = cfg.validate();
+    ASSERT_EQ(diags.size(), 2u);
+    EXPECT_NE(diags[0].find("batch 0"), std::string::npos) << diags[0];
+    EXPECT_NE(diags[1].find("prefill chunks 0"), std::string::npos)
+        << diags[1];
+}
+
+TEST(RunConfigValidate, EveryPlanEngineRunAssertsIt)
+{
+    const SystemConfig sys = defaultSystem();
+    RunConfig bad = makeRun(opt30b(), 0, 8192);
+    for (const EngineKind kind :
+         {EngineKind::FlexDram, EngineKind::FlexSsd,
+          EngineKind::FlexSmartSsdRaw, EngineKind::DeepSpeedUvm,
+          EngineKind::VllmMultiGpu, EngineKind::Hilos}) {
+        const auto engine = makeEngine(kind, sys);
+        EXPECT_DEATH((void)engine->run(bad), "invalid run config: run: batch")
+            << engine->name();
+    }
+    bad.batch = 4;
+    bad.prefill_chunks = 0;
+    EXPECT_DEATH((void)makeEngine(EngineKind::Hilos, sys)->run(bad),
+                 "prefill chunks");
+}
+
 }  // namespace
 }  // namespace hilos

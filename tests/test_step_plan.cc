@@ -739,10 +739,10 @@ TEST(PlanCache, CapacityFlipIsATopologyMissNotACorruption)
     EXPECT_GE(cache.stats().mismatches, 2u);
 }
 
-TEST(RunGridCached, BitIdenticalToRunGridForEveryJobCount)
+TEST(RunGrid, BitIdenticalToPerPointRunForEveryJobCount)
 {
     const SystemConfig sys = defaultSystem();
-    // Interleave kinds so cached workers switch engines mid-sweep.
+    // Interleave kinds so workers switch engines mid-sweep.
     std::vector<GridPoint> grid;
     const EngineKind kinds[] = {
         EngineKind::Hilos, EngineKind::FlexSsd, EngineKind::Hilos,
@@ -761,14 +761,26 @@ TEST(RunGridCached, BitIdenticalToRunGridForEveryJobCount)
         grid.push_back(p);
         batch += 4;
     }
-    const std::vector<RunResult> reference = runGrid(sys, grid, 1);
+    // A faulted HILOS point takes the degraded-mode path that bypasses
+    // the worker's cache; a chunked point rebuilds its prefill plan per
+    // chunk inside the cache.
+    GridPoint faulted = grid[0];
+    faulted.hilos.fault_plan =
+        parseFaultPlan("seed=7;nand-err=1e-3;fail@2.5=3");
+    grid.insert(grid.begin() + 3, faulted);
+    GridPoint chunked = grid[1];
+    chunked.run.prefill_chunks = 4;
+    grid.insert(grid.begin() + 5, chunked);
+
+    std::vector<std::string> reference;
+    for (const GridPoint &p : grid)
+        reference.push_back(test::serialize(
+            makeEngine(p.kind, sys, p.hilos)->run(p.run)));
     for (const unsigned jobs : {1u, 3u}) {
-        const std::vector<RunResult> cached =
-            runGridCached(sys, grid, jobs);
-        ASSERT_EQ(cached.size(), reference.size());
-        for (std::size_t i = 0; i < cached.size(); i++)
-            EXPECT_EQ(test::serialize(cached[i]),
-                      test::serialize(reference[i]))
+        const std::vector<RunResult> results = runGrid(sys, grid, jobs);
+        ASSERT_EQ(results.size(), reference.size());
+        for (std::size_t i = 0; i < results.size(); i++)
+            EXPECT_EQ(test::serialize(results[i]), reference[i])
                 << "grid point " << i << " jobs " << jobs;
     }
 }
