@@ -231,10 +231,8 @@ priceFor(const std::string &engine, const SystemConfig &sys,
                           sys.num_baseline_ssds);
 }
 
-}  // namespace
-
 int
-main(int argc, char **argv)
+runCli(int argc, char **argv)
 {
     ArgParser args("hilos_cli");
     args.addOption("engine", "hilos",
@@ -338,15 +336,11 @@ main(int argc, char **argv)
     // where --batch is the batch cap rather than a run's batch.
     if (!args.getFlag("serve") && !reportDiagnostics(run.validate()))
         return 2;
+    if (!reportDiagnostics(opts.validate()))
+        return 2;
     const std::string fault_spec = args.get("fault-plan");
-    if (!fault_spec.empty()) {
-        try {
-            opts.fault_plan = parseFaultPlan(fault_spec);
-        } catch (const std::exception &e) {
-            std::cerr << "error: " << e.what() << "\n";
-            return 2;
-        }
-    }
+    if (!fault_spec.empty())
+        opts.fault_plan = parseFaultPlan(fault_spec);
 
     if (args.getFlag("analyze-plan")) {
         std::vector<PlanWaiver> waivers;
@@ -545,4 +539,20 @@ main(int argc, char **argv)
                   << " (open in chrome://tracing)\n";
     }
     return r.feasible ? 0 : 1;
+}
+
+}  // namespace
+
+int
+main(int argc, char **argv)
+{
+    // HILOS_FATAL throws on bad user input the parser cannot see (an
+    // unknown model or engine name, a malformed fault plan): a usage
+    // error, not an abort.
+    try {
+        return runCli(argc, argv);
+    } catch (const std::exception &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 }

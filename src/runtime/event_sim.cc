@@ -1,7 +1,8 @@
 #include "runtime/event_sim.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <optional>
 
 #include "accel/cycle_model.h"
 #include "common/logging.h"
@@ -21,11 +22,9 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
                                         TraceRecorder *trace,
                                         Seconds start_time) const
 {
-    auto note = [&](const std::string &track, const std::string &name,
-                    Seconds begin, Seconds end) {
-        if (trace != nullptr)
-            trace->record(track, name, begin, end);
-    };
+    // Every trace label below is built under `trace != nullptr`: the
+    // slice loop runs batch x kv_heads x layers times per step, and an
+    // untraced replay must not format strings nobody reads.
     const ModelConfig &m = cfg.model;
     const Gpu gpu(sys_.gpu);
     const unsigned N = opts_.num_devices;
@@ -164,20 +163,23 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
                 home == WeightHome::Storage ? uplink : host_link;
             weight_ready[l + 1] = wres.transfer(
                 layer_start, static_cast<std::uint64_t>(weight_bytes));
-            note(wres.name(), "weights/L" + std::to_string(l + 1),
-                 weight_ready[l + 1] -
-                     wres.serviceTime(
-                         static_cast<std::uint64_t>(weight_bytes)),
-                 weight_ready[l + 1]);
+            if (trace != nullptr)
+                trace->record(wres.name(), "weights/L" + std::to_string(l + 1),
+                              weight_ready[l + 1] -
+                                  wres.serviceTime(static_cast<std::uint64_t>(
+                                      weight_bytes)),
+                              weight_ready[l + 1]);
         }
 
         // QKV upload to the devices.
         const Seconds qkv_done = uplink.transfer(
             layer_start, static_cast<std::uint64_t>(qkv_up_bytes));
-        note("uplink", "qkv/L" + std::to_string(l),
-             qkv_done - uplink.serviceTime(
-                            static_cast<std::uint64_t>(qkv_up_bytes)),
-             qkv_done);
+        if (trace != nullptr)
+            trace->record("uplink", "qkv/L" + std::to_string(l),
+                          qkv_done - uplink.serviceTime(
+                                         static_cast<std::uint64_t>(
+                                             qkv_up_bytes)),
+                          qkv_done);
 
         // NSP portion: slices stream through each device's internal
         // path into its accelerator. Slices homed on a failed device
@@ -217,16 +219,18 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
             }
             const Seconds kernel_done =
                 fpga[dev].transfer(read_done, slice_bytes);
-            note(internal[dev].name(),
-                 "read/L" + std::to_string(l) + "/s" +
-                     std::to_string(sl),
-                 read_done - internal[dev].serviceTime(slice_bytes),
-                 read_done);
-            note(fpga[dev].name(),
-                 "attn/L" + std::to_string(l) + "/s" +
-                     std::to_string(sl),
-                 kernel_done - fpga[dev].serviceTime(slice_bytes),
-                 kernel_done);
+            if (trace != nullptr) {
+                const std::string at =
+                    "/L" + std::to_string(l) + "/s" + std::to_string(sl);
+                trace->record(internal[dev].name(), "read" + at,
+                              read_done -
+                                  internal[dev].serviceTime(slice_bytes),
+                              read_done);
+                trace->record(fpga[dev].name(), "attn" + at,
+                              kernel_done -
+                                  fpga[dev].serviceTime(slice_bytes),
+                              kernel_done);
+            }
             nsp_done = std::max(nsp_done, kernel_done);
         }
 
@@ -236,12 +240,14 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
         for (std::uint64_t seq = 0; seq < x_batches; seq++) {
             const Seconds loaded = gds.transfer(layer_start, x_bytes);
             uplink.transfer(layer_start, x_bytes);
-            note("gds", "xload/L" + std::to_string(l),
-                 loaded - gds.serviceTime(x_bytes), loaded);
+            if (trace != nullptr)
+                trace->record("gds", "xload/L" + std::to_string(l),
+                              loaded - gds.serviceTime(x_bytes), loaded);
             const Seconds gpu_begin = std::max(gpu_free, loaded);
             gpu_free = gpu_begin + regen_per_seq + gpu_xattn_per_seq;
-            note("gpu", "regen/L" + std::to_string(l), gpu_begin,
-                 gpu_free);
+            if (trace != nullptr)
+                trace->record("gpu", "regen/L" + std::to_string(l),
+                              gpu_begin, gpu_free);
             gpu_busy += regen_per_seq + gpu_xattn_per_seq;
             x_done = std::max(x_done, gpu_free);
         }
@@ -249,8 +255,9 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
         // Host-side projections and MLP on the GPU.
         const Seconds base_begin = std::max(gpu_free, layer_start);
         gpu_free = base_begin + gpu_base;
-        note("gpu", "proj+mlp/L" + std::to_string(l), base_begin,
-             gpu_free);
+        if (trace != nullptr)
+            trace->record("gpu", "proj+mlp/L" + std::to_string(l),
+                          base_begin, gpu_free);
         gpu_busy += gpu_base;
 
         const Seconds out_done = uplink.transfer(
@@ -259,8 +266,9 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
         const Seconds layer_done =
             std::max({out_done, gpu_free, qkv_done}) + wb_crit;
 
-        note("layers", "L" + std::to_string(l), layer_start,
-             layer_done);
+        if (trace != nullptr)
+            trace->record("layers", "L" + std::to_string(l), layer_start,
+                          layer_done);
         res.layer_times.push_back(layer_done - layer_start);
         prev_done = layer_done;
     }
@@ -419,8 +427,9 @@ namespace {
 /**
  * The pools a plan replay runs over: one BandwidthPool per referenced
  * transfer resource (with the plan's declared instance count) and one
- * single-instance pool per referenced compute unit. Rates are dummies
- * — replay uses occupy(), whose durations are already engine-priced.
+ * single-instance pool per referenced compute unit, in slots indexed by
+ * the enum so every op visit is an array access. Rates are dummies —
+ * replay uses occupy(), whose durations are already engine-priced.
  */
 class PlanPools
 {
@@ -432,18 +441,15 @@ class PlanPools
                 return;
             if (op.op_kind == StepOp::Kind::Transfer &&
                 op.resource != PlanResource::None) {
-                const int key = static_cast<int>(op.resource);
-                if (resources_.find(key) == resources_.end())
-                    resources_.emplace(
-                        key, BandwidthPool(planResourceName(op.resource),
-                                           plan.instancesOf(op.resource),
-                                           1.0));
+                auto &slot = resources_[slotOf(op.resource)];
+                if (!slot)
+                    slot.emplace(planResourceName(op.resource),
+                                 plan.instancesOf(op.resource), 1.0);
             } else if (op.op_kind == StepOp::Kind::Compute &&
                        op.unit != ComputeUnit::None) {
-                const int key = static_cast<int>(op.unit);
-                if (units_.find(key) == units_.end())
-                    units_.emplace(
-                        key, BandwidthPool(computeUnitName(op.unit), 1, 1.0));
+                auto &slot = units_[slotOf(op.unit)];
+                if (!slot)
+                    slot.emplace(computeUnitName(op.unit), 1, 1.0);
             }
         };
         for (const StepOpView op : plan.layer_ops)
@@ -455,35 +461,74 @@ class PlanPools
     /** The pool `op` occupies, or nullptr for a pure delay. */
     BandwidthPool *poolFor(const StepOpView &op)
     {
+        std::optional<BandwidthPool> *slot = nullptr;
         if (op.op_kind == StepOp::Kind::Transfer) {
             if (op.resource == PlanResource::None)
                 return nullptr;
-            return &resources_.at(static_cast<int>(op.resource));
+            slot = &resources_[slotOf(op.resource)];
+        } else {
+            if (op.unit == ComputeUnit::None)
+                return nullptr;
+            slot = &units_[slotOf(op.unit)];
         }
-        if (op.unit == ComputeUnit::None)
-            return nullptr;
-        return &units_.at(static_cast<int>(op.unit));
+        HILOS_ASSERT(slot->has_value(), "op '", op.label,
+                     "' occupies a pool no online op declared");
+        return &**slot;
     }
 
     Seconds maxBusyUntil() const
     {
         Seconds latest = 0.0;
-        for (const auto &kv : resources_)
-            latest = std::max(latest, kv.second.maxBusyUntil());
-        for (const auto &kv : units_)
-            latest = std::max(latest, kv.second.maxBusyUntil());
+        for (const auto &pool : resources_)
+            if (pool)
+                latest = std::max(latest, pool->maxBusyUntil());
+        for (const auto &pool : units_)
+            if (pool)
+                latest = std::max(latest, pool->maxBusyUntil());
         return latest;
     }
 
-    const std::map<int, BandwidthPool> &resources() const
+    /** (name, mean utilisation) per referenced resource, enum order. */
+    std::vector<std::pair<std::string, double>>
+    resourceUtilization(Seconds horizon) const
     {
-        return resources_;
+        return utilizations(resources_, horizon);
     }
-    const std::map<int, BandwidthPool> &units() const { return units_; }
+
+    /** (name, utilisation) per referenced compute unit, enum order. */
+    std::vector<std::pair<std::string, double>>
+    unitUtilization(Seconds horizon) const
+    {
+        return utilizations(units_, horizon);
+    }
 
   private:
-    std::map<int, BandwidthPool> resources_;
-    std::map<int, BandwidthPool> units_;
+    static constexpr std::size_t kResourceSlots =
+        static_cast<std::size_t>(PlanResource::InterNode) + 1;
+    static constexpr std::size_t kUnitSlots =
+        static_cast<std::size_t>(ComputeUnit::Fpga) + 1;
+
+    template <typename Enum>
+    static std::size_t slotOf(Enum e)
+    {
+        return static_cast<std::size_t>(e);
+    }
+
+    template <std::size_t N>
+    static std::vector<std::pair<std::string, double>>
+    utilizations(const std::array<std::optional<BandwidthPool>, N> &pools,
+                 Seconds horizon)
+    {
+        std::vector<std::pair<std::string, double>> out;
+        for (const auto &pool : pools)
+            if (pool)
+                out.emplace_back(pool->name(),
+                                 pool->meanUtilization(horizon));
+        return out;
+    }
+
+    std::array<std::optional<BandwidthPool>, kResourceSlots> resources_;
+    std::array<std::optional<BandwidthPool>, kUnitSlots> units_;
 };
 
 }  // namespace
@@ -568,12 +613,8 @@ simulatePlan(const StepPlan &plan, TraceRecorder *trace)
     // every pool's busy span so BandwidthResource's >1 check holds.
     const Seconds horizon =
         std::max(tail_end, pools.maxBusyUntil());
-    for (const auto &kv : pools.resources())
-        out.resource_utilization.emplace_back(
-            kv.second.name(), kv.second.meanUtilization(horizon));
-    for (const auto &kv : pools.units())
-        out.unit_utilization.emplace_back(
-            kv.second.name(), kv.second.meanUtilization(horizon));
+    out.resource_utilization = pools.resourceUtilization(horizon);
+    out.unit_utilization = pools.unitUtilization(horizon);
     return out;
 }
 

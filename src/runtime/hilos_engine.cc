@@ -14,12 +14,29 @@
 
 namespace hilos {
 
+std::vector<std::string>
+HilosOptions::validate() const
+{
+    std::vector<std::string> out;
+    if (num_devices < 1 || num_devices > 16) {
+        out.push_back("hilos: devices " + std::to_string(num_devices) +
+                      " must be in 1..16");
+    }
+    if (!(alpha_override <= 1.0)) {
+        out.push_back("hilos: alpha " + std::to_string(alpha_override) +
+                      " must be negative (scheduler-selected) or in "
+                      "[0, 1]");
+    }
+    if (spill_interval < 1)
+        out.push_back("hilos: spill interval 0 must be >= 1");
+    return out;
+}
+
 HilosEngine::HilosEngine(const SystemConfig &sys, const HilosOptions &opts)
     : sys_(sys), opts_(opts)
 {
-    HILOS_ASSERT(opts_.num_devices >= 1 && opts_.num_devices <= 16,
-                 "HILOS supports 1..16 SmartSSDs");
-    HILOS_ASSERT(opts_.spill_interval >= 1, "invalid spill interval");
+    const std::vector<std::string> diags = opts_.validate();
+    HILOS_ASSERT(diags.empty(), "invalid HILOS options: ", diags.front());
 }
 
 std::string

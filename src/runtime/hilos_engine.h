@@ -10,6 +10,7 @@
 #define HILOS_RUNTIME_HILOS_ENGINE_H_
 
 #include <string>
+#include <vector>
 
 #include "runtime/engine.h"
 #include "runtime/step_plan.h"
@@ -47,6 +48,14 @@ struct HilosOptions {
      * surviving fleet, shard rebuild on device failure).
      */
     FaultPlan fault_plan;
+
+    /**
+     * One named diagnostic per out-of-domain field (num_devices in
+     * 1..16, alpha_override negative or in [0, 1], spill_interval
+     * >= 1); empty when the options are well-formed. HilosEngine
+     * asserts it.
+     */
+    std::vector<std::string> validate() const;
 };
 
 /**

@@ -9,8 +9,7 @@ namespace hilos {
 
 BandwidthResource::BandwidthResource(std::string name, Bandwidth rate,
                                      Seconds latency)
-    : name_(std::move(name)), rate_(rate), latency_(latency),
-      stats_(name_)
+    : name_(std::move(name)), rate_(rate), latency_(latency)
 {
     HILOS_ASSERT(rate_ > 0.0, "bandwidth must be positive: ", rate_);
     HILOS_ASSERT(latency_ >= 0.0, "latency must be non-negative");
@@ -29,9 +28,10 @@ BandwidthResource::transfer(Seconds start, std::uint64_t bytes)
     const Seconds service = serviceTime(bytes);
     busy_until_ = begin + service;
     busy_time_ += service;
-    stats_.counter("bytes").add(static_cast<double>(bytes));
-    stats_.counter("transfers").increment();
-    stats_.summary("queue_delay").add(begin - start);
+    bytes_.add(static_cast<double>(bytes));
+    transfers_.increment();
+    queue_delay_.add(begin - start);
+    transferred_ = true;
     return busy_until_;
 }
 
@@ -44,7 +44,8 @@ BandwidthResource::occupy(Seconds start, Seconds duration)
     const Seconds begin = std::max(start, busy_until_);
     busy_until_ = begin + duration;
     busy_time_ += duration;
-    stats_.summary("stall").add(duration);
+    stall_.add(duration);
+    stalled_ = true;
     return busy_until_;
 }
 
@@ -79,7 +80,24 @@ BandwidthResource::reset()
 {
     busy_until_ = 0.0;
     busy_time_ = 0.0;
-    stats_.reset();
+    bytes_.reset();
+    transfers_.reset();
+    queue_delay_.reset();
+    stall_.reset();
+}
+
+StatRegistry
+BandwidthResource::stats() const
+{
+    StatRegistry reg(name_);
+    if (transferred_) {
+        reg.counter("bytes") = bytes_;
+        reg.counter("transfers") = transfers_;
+        reg.summary("queue_delay") = queue_delay_;
+    }
+    if (stalled_)
+        reg.summary("stall") = stall_;
+    return reg;
 }
 
 BandwidthPool::BandwidthPool(std::string name, unsigned instances,

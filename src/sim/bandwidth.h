@@ -69,7 +69,7 @@ class BandwidthResource
     Seconds busyUntil() const { return busy_until_; }
 
     /** Total bytes moved so far. */
-    double totalBytes() const { return stats_.counter("bytes").value(); }
+    double totalBytes() const { return bytes_.value(); }
 
     /** Total time the channel spent busy. */
     Seconds busyTime() const { return busy_time_; }
@@ -93,7 +93,14 @@ class BandwidthResource
     Bandwidth rate() const { return rate_; }
     Seconds latency() const { return latency_; }
     const std::string &name() const { return name_; }
-    const StatRegistry &stats() const { return stats_; }
+
+    /**
+     * The channel's stats under its name: counters "bytes" and
+     * "transfers" and summary "queue_delay" once a transfer has been
+     * issued, summary "stall" once a non-zero occupy has. Built on
+     * demand; keys persist across reset() with zeroed values.
+     */
+    StatRegistry stats() const;
 
   private:
     std::string name_;
@@ -101,7 +108,15 @@ class BandwidthResource
     Seconds latency_;
     Seconds busy_until_ = 0.0;
     Seconds busy_time_ = 0.0;
-    mutable StatRegistry stats_;
+    // Plain members, not registry entries: the slice replays call
+    // transfer() per KV slice, where by-name lookups cost more than
+    // the pricing itself.
+    Counter bytes_;
+    Counter transfers_;
+    Summary queue_delay_;
+    Summary stall_;
+    bool transferred_ = false;
+    bool stalled_ = false;
 };
 
 /**

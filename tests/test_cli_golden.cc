@@ -10,9 +10,9 @@
  * The binary path arrives via the HILOS_CLI_PATH compile definition
  * ($<TARGET_FILE:hilos_cli>), so the test is build-tree relocatable.
  *
- * The same binary also pins the input boundary: out-of-domain run and
- * serving options exit 2 with a named diagnostic on stderr, never an
- * abort.
+ * The same binary also pins the input boundary: out-of-domain run,
+ * HILOS and serving options and unknown model/engine names exit 2 with
+ * a named diagnostic on stderr, never an abort.
  */
 
 #include <gtest/gtest.h>
@@ -138,6 +138,22 @@ TEST(CliBoundary, OfflineRunRejectsOutOfDomainRunConfig)
     expectRejected("--batch 0", "run: batch 0");
     expectRejected("--engine flex-ssd --batch 0", "run: batch 0");
     expectRejected("--prefill-chunks 0", "run: prefill chunks 0");
+}
+
+TEST(CliBoundary, UnknownNamesExitTwoNotAbort)
+{
+    expectRejected("--model NOPE", "fatal: unknown model: NOPE");
+    expectRejected("--engine nope", "fatal: unknown engine 'nope'");
+    expectRejected("--fault-plan bogus=1",
+                   "fatal: fault plan: unknown clause 'bogus=1'");
+}
+
+TEST(CliBoundary, RejectsOutOfDomainHilosOptions)
+{
+    expectRejected("--devices 0", "hilos: devices 0 must be in 1..16");
+    expectRejected("--devices 17", "hilos: devices 17 must be in 1..16");
+    expectRejected("--alpha 2", "hilos: alpha 2.000000 must be negative");
+    expectRejected("--spill 0", "hilos: spill interval 0 must be >= 1");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "core/hilos.h"
@@ -359,6 +360,41 @@ TEST(RunConfigValidate, EveryPlanEngineRunAssertsIt)
     bad.prefill_chunks = 0;
     EXPECT_DEATH((void)makeEngine(EngineKind::Hilos, sys)->run(bad),
                  "prefill chunks");
+}
+
+TEST(HilosOptionsValidate, OneNamedDiagnosticPerViolation)
+{
+    EXPECT_TRUE(HilosOptions{}.validate().empty());
+    HilosOptions edge;
+    edge.num_devices = 16;
+    edge.alpha_override = 1.0;
+    edge.spill_interval = 1;
+    EXPECT_TRUE(edge.validate().empty());
+    edge.num_devices = 1;
+    edge.alpha_override = 0.0;
+    EXPECT_TRUE(edge.validate().empty());
+
+    HilosOptions opts;
+    opts.num_devices = 0;
+    opts.alpha_override = 2.0;
+    opts.spill_interval = 0;
+    std::vector<std::string> diags = opts.validate();
+    ASSERT_EQ(diags.size(), 3u);
+    EXPECT_NE(diags[0].find("devices 0"), std::string::npos) << diags[0];
+    EXPECT_NE(diags[1].find("alpha 2"), std::string::npos) << diags[1];
+    EXPECT_NE(diags[2].find("spill interval 0"), std::string::npos)
+        << diags[2];
+
+    opts = HilosOptions{};
+    opts.num_devices = 17;
+    opts.alpha_override = std::nan("");
+    diags = opts.validate();
+    ASSERT_EQ(diags.size(), 2u);
+    EXPECT_NE(diags[0].find("devices 17"), std::string::npos) << diags[0];
+    EXPECT_NE(diags[1].find("alpha nan"), std::string::npos) << diags[1];
+
+    EXPECT_DEATH(HilosEngine(defaultSystem(), opts),
+                 "invalid HILOS options: hilos: devices 17");
 }
 
 }  // namespace

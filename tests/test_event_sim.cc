@@ -167,5 +167,75 @@ TEST(EventSim, XCacheLoadsTheGdsPath)
     EXPECT_LT(rx.decode_step_time, r0.decode_step_time);  // X-cache helps
 }
 
+bool
+hasEvent(const TraceRecorder &tr, const std::string &track,
+         const std::string &name)
+{
+    for (const TraceEvent &e : tr.events())
+        if (e.name == name && (track.empty() || e.track == track))
+            return true;
+    return false;
+}
+
+TEST(EventSim, TracedAndUntracedFaultReplaysAgreeBitForBit)
+{
+    // Trace labels are built only when a recorder is attached; the
+    // replay itself must not depend on it. The plan exercises every
+    // device-scope fault clause (seeded NAND/NVMe retries, a P2P
+    // derate, a device failure) plus an uplink derate, so the
+    // re-dispatch and retry branches are covered, not just the clean
+    // path.
+    SystemConfig sys = defaultSystem();
+    HilosOptions opts;
+    opts.num_devices = 8;
+    opts.fault_plan = parseFaultPlan(
+        "seed=11;nand-err=1e-3;nvme-timeout=5e-4;degrade@0.5=0.5:1;"
+        "uplink@0.5=0.8;fail@0.5=3");
+    const HilosEventSimulator sim(sys, opts);
+    const RunConfig run = makeRun(opt66b(), 32768);
+    const Seconds start = 1.0;
+
+    TraceRecorder tr;
+    const EventSimResult traced = sim.simulateDecodeStep(run, &tr, start);
+    const EventSimResult plain =
+        sim.simulateDecodeStep(run, nullptr, start);
+
+    // The faults really fired.
+    EXPECT_EQ(plain.devices_failed, 1u);
+    EXPECT_GT(plain.redispatched_slices, 0u);
+    EXPECT_GT(plain.nand_read_errors, 0u);
+    EXPECT_GT(plain.nvme_timeouts, 0u);
+
+    EXPECT_EQ(traced.completed, plain.completed);
+    EXPECT_EQ(traced.decode_step_time.value(),
+              plain.decode_step_time.value());
+    EXPECT_EQ(traced.mean_layer_time.value(),
+              plain.mean_layer_time.value());
+    ASSERT_EQ(traced.layer_times.size(), plain.layer_times.size());
+    for (std::size_t l = 0; l < plain.layer_times.size(); ++l)
+        EXPECT_EQ(traced.layer_times[l].value(),
+                  plain.layer_times[l].value())
+            << "layer " << l;
+    EXPECT_EQ(traced.uplink_utilization, plain.uplink_utilization);
+    EXPECT_EQ(traced.gds_utilization, plain.gds_utilization);
+    EXPECT_EQ(traced.internal_utilization, plain.internal_utilization);
+    EXPECT_EQ(traced.gpu_utilization, plain.gpu_utilization);
+    EXPECT_EQ(traced.devices_failed, plain.devices_failed);
+    EXPECT_EQ(traced.redispatched_slices, plain.redispatched_slices);
+    EXPECT_EQ(traced.nand_read_errors, plain.nand_read_errors);
+    EXPECT_EQ(traced.nvme_timeouts, plain.nvme_timeouts);
+    EXPECT_EQ(traced.nvme_retries, plain.nvme_retries);
+    EXPECT_EQ(traced.retry_time.value(), plain.retry_time.value());
+
+    // The traced run still carries the same labels.
+    EXPECT_TRUE(hasEvent(tr, "", "read/L0/s0"));
+    EXPECT_TRUE(hasEvent(tr, "", "attn/L0/s0"));
+    EXPECT_TRUE(hasEvent(tr, "", "weights/L1"));
+    EXPECT_TRUE(hasEvent(tr, "uplink", "qkv/L0"));
+    const auto layers = tr.track("layers");
+    ASSERT_EQ(layers.size(), run.model.layers);
+    EXPECT_EQ(layers.front().name, "L0");
+}
+
 }  // namespace
 }  // namespace hilos
