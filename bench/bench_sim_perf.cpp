@@ -10,14 +10,11 @@
  *     event-driven simulatePlan over one HILOS decode plan, plus the
  *     Prefill-phase plan's build/evaluate cost and the deterministic
  *     chunked-prefill overhead ratio (4 chunks vs monolithic);
- *  3. event-queue throughput — the calendar queue against the binary
- *     heap it replaced (kept verbatim below), on a pre-filled drain
- *     and on a schedule-on-pop workload;
- *  4. end-to-end sweep rate — cold (a fresh engine + run() per point)
+ *  3. end-to-end sweep rate — cold (a fresh engine + run() per point)
  *     vs warm (runGrid, one engine and PlanCache per worker) on a
  *     Fig-10 style engine x batch x context grid, same binary.
  *
- * Deterministic workloads (seeded schedules, fixed grids); wall times
+ * Deterministic workloads (fixed plans and grids); wall times
  * of course vary run to run, so the checked-in baseline is compared
  * with a wide relative tolerance (scripts/check_bench_regression.py).
  * Exits non-zero when the warm sweep speedup falls below
@@ -34,18 +31,15 @@
 #include <cstdlib>
 #include <functional>
 #include <iostream>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "bench_json.h"
 #include "common/cli.h"
-#include "common/random.h"
 #include "common/table.h"
 #include "core/hilos.h"
 #include "runtime/event_sim.h"
 #include "runtime/plan_cache.h"
-#include "sim/event_queue.h"
 
 using namespace hilos;
 
@@ -76,86 +70,6 @@ timeSeconds(const std::function<void()> &fn, int repeats)
     }
     std::sort(samples.begin(), samples.end());
     return samples[samples.size() / 2];
-}
-
-/**
- * The event queue this PR replaced, kept verbatim as the in-binary
- * baseline for the throughput comparison.
- */
-class LegacyHeapQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Seconds now() const { return now_; }
-
-    void
-    scheduleAt(Seconds when, Callback fn)
-    {
-        heap_.push(Entry{when, next_seq_++, std::move(fn)});
-    }
-
-    void
-    scheduleAfter(Seconds delay, Callback fn)
-    {
-        scheduleAt(now_ + delay, std::move(fn));
-    }
-
-    Seconds
-    run()
-    {
-        while (!heap_.empty()) {
-            Entry e = heap_.top();
-            heap_.pop();
-            now_ = e.when;
-            e.fn();
-        }
-        return now_;
-    }
-
-  private:
-    struct Entry {
-        Seconds when;
-        std::uint64_t seq;
-        Callback fn;
-    };
-    struct Later {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    Seconds now_ = 0.0;
-    std::uint64_t next_seq_ = 0;
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-};
-
-/** Drive `q` through `n` pre-filled events plus `n` schedule-on-pop
- *  descendants; returns a checksum so the work cannot be elided. */
-template <typename Queue>
-std::uint64_t
-eventQueueWorkload(Queue &q, std::size_t n, std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::uint64_t fired = 0;
-    for (std::size_t i = 0; i < n; i++) {
-        const Seconds when = Seconds(rng.uniform(0.0, 1.0));
-        q.scheduleAt(when, [&q, &fired, &rng] {
-            fired++;
-            // Half the events reschedule: the simulation-like pattern
-            // (transfer completion enqueues the dependent op).
-            if ((fired & 1) == 0) {
-                q.scheduleAfter(Seconds(rng.uniform(0.0, 1e-3)),
-                                [&fired] { fired++; });
-            }
-        });
-    }
-    q.run();
-    return fired;
 }
 
 /** Fig-10-style sweep grid: every baseline plus HILOS across batch x
@@ -201,7 +115,6 @@ main(int argc, char **argv)
     // the first plan evaluation caches the flag.
     unsetenv("HILOS_ANALYZE_PLANS");
     ArgParser args("bench_sim_perf");
-    args.addOption("events", "20000", "pre-filled events per queue run");
     args.addOption("grid-repeats", "3",
                    "repetitions of the base sweep grid");
     args.addOption("repeats", "5", "timing repeats (median taken)");
@@ -213,8 +126,6 @@ main(int argc, char **argv)
         std::cerr << args.usage();
         return args.helpRequested() ? 0 : 2;
     }
-    const std::size_t events =
-        static_cast<std::size_t>(args.getInt("events"));
     const std::size_t grid_repeats =
         static_cast<std::size_t>(args.getInt("grid-repeats"));
     const int repeats = static_cast<int>(args.getInt("repeats"));
@@ -231,7 +142,6 @@ main(int argc, char **argv)
     TextTable table({"case", "unit", "value"});
     bench::BenchJson json("sim_perf");
     json.meta("model", model.name)
-        .meta("events", static_cast<std::uint64_t>(events))
         .meta("grid_repeats", static_cast<std::uint64_t>(grid_repeats));
 
     const auto report = [&](const std::string &name,
@@ -363,29 +273,7 @@ main(int argc, char **argv)
     report("prefill_share_of_total", "x",
            headline_run.prefill_time / headline_run.total_time);
 
-    // --- 3. event-queue throughput, calendar vs legacy heap ---
-    std::uint64_t fired_calendar = 0;
-    std::uint64_t fired_heap = 0;
-    const double calendar_t = timeSeconds(
-        [&] {
-            EventQueue q;
-            fired_calendar = eventQueueWorkload(q, events, 0xE0E0);
-        },
-        repeats);
-    const double heap_t = timeSeconds(
-        [&] {
-            LegacyHeapQueue q;
-            fired_heap = eventQueueWorkload(q, events, 0xE0E0);
-        },
-        repeats);
-    check(fired_calendar == fired_heap,
-          "event queue workloads diverged");
-    const double fired = static_cast<double>(fired_calendar);
-    report("event_queue_calendar", "Mev/s", fired / calendar_t / 1e6);
-    report("event_queue_heap", "Mev/s", fired / heap_t / 1e6);
-    report("event_queue_speedup", "x", heap_t / calendar_t);
-
-    // --- 4. end-to-end sweep: per-point cold runs vs runGrid ---
+    // --- 3. end-to-end sweep: per-point cold runs vs runGrid ---
     const std::vector<GridPoint> grid = sweepGrid(model, grid_repeats);
     std::vector<RunResult> cold_results(grid.size());
     std::vector<RunResult> warm_results;

@@ -67,11 +67,14 @@ printReport(const std::string &engine_name, const RunConfig &run,
                 formatSeconds(r.prefill_time).c_str());
     std::printf("end-to-end throughput: %.4f tokens/s\n",
                 r.endToEndThroughput(run.output_len));
-    std::printf("energy               : %.1f kJ (%.0f J/token)\n",
-                r.energy.total().value() / 1e3,
-                r.energy.total().value() /
-                    static_cast<double>(r.effective_batch *
-                                        run.output_len));
+    // --output 0 is legal but generates no token to charge energy to.
+    const std::uint64_t tokens = r.effective_batch * run.output_len;
+    char per_token[32] = "n/a";
+    if (tokens > 0)
+        std::snprintf(per_token, sizeof(per_token), "%.0f",
+                      r.energy.total().value() / static_cast<double>(tokens));
+    std::printf("energy               : %.1f kJ (%s J/token)\n",
+                r.energy.total().value() / 1e3, per_token);
     std::printf("cost-effectiveness   : %.3e tokens/s/$ ($%.0f)\n",
                 costEffectiveness(r.decodeThroughput(), price), price);
 
@@ -326,12 +329,32 @@ runCli(int argc, char **argv)
     opts.spill_interval =
         static_cast<unsigned>(args.getInt("spill"));
     opts.cxl_mode = args.getFlag("cxl");
-    opts.attention_window =
-        static_cast<std::uint64_t>(args.getInt("window"));
+    const std::int64_t window = args.getInt("window");
+    const std::int64_t hosts_arg = args.getInt("hosts");
+    const std::int64_t spares_arg = args.getInt("spares");
+    const std::int64_t jobs_arg = args.getInt("jobs");
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
         return 2;
     }
+    // These land in unsigned fields, where a negative value would wrap
+    // to a huge one: reject it (and a fleet of no hosts) up front.
+    std::vector<std::string> bounds;
+    if (window < 0)
+        bounds.push_back("window " + std::to_string(window) +
+                         " must be >= 0 (0 = full attention)");
+    if (hosts_arg < 1)
+        bounds.push_back("hosts " + std::to_string(hosts_arg) +
+                         " must be >= 1");
+    if (spares_arg < 0)
+        bounds.push_back("spares " + std::to_string(spares_arg) +
+                         " must be >= 0");
+    if (jobs_arg < 0)
+        bounds.push_back("jobs " + std::to_string(jobs_arg) +
+                         " must be >= 0 (0 = all cores)");
+    if (!reportDiagnostics(bounds))
+        return 2;
+    opts.attention_window = static_cast<std::uint64_t>(window);
     // --serve checks its own domain below (ServingConfig::validate),
     // where --batch is the batch cap rather than a run's batch.
     if (!args.getFlag("serve") && !reportDiagnostics(run.validate()))
@@ -391,13 +414,9 @@ runCli(int argc, char **argv)
         return failed ? 1 : 0;
     }
 
-    const unsigned hosts = static_cast<unsigned>(args.getInt("hosts"));
+    const unsigned hosts = static_cast<unsigned>(hosts_arg);
     const std::string policy_name = args.get("policy");
-    const unsigned spares = static_cast<unsigned>(args.getInt("spares"));
-    if (!args.ok()) {
-        std::cerr << "error: " << args.error() << "\n";
-        return 2;
-    }
+    const unsigned spares = static_cast<unsigned>(spares_arg);
 
     const std::string report_path = args.get("report");
     if (!report_path.empty()) {
@@ -405,11 +424,7 @@ runCli(int argc, char **argv)
         rc.fault_plan = opts.fault_plan;
         rc.hosts = hosts;
         rc.fleet_policy = parsePlacementPolicy(policy_name);
-        rc.jobs = static_cast<unsigned>(args.getInt("jobs"));
-        if (!args.ok()) {
-            std::cerr << "error: " << args.error() << "\n";
-            return 2;
-        }
+        rc.jobs = static_cast<unsigned>(jobs_arg);
         const EvaluationReport rep = runEvaluation(sys, rc);
         std::ofstream out(report_path);
         if (!out) {
@@ -548,7 +563,7 @@ main(int argc, char **argv)
 {
     // HILOS_FATAL throws on bad user input the parser cannot see (an
     // unknown model or engine name, a malformed fault plan): a usage
-    // error, not an abort.
+    // error, not an abort, reported here and only here.
     try {
         return runCli(argc, argv);
     } catch (const std::exception &e) {

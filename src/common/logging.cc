@@ -35,11 +35,11 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    // Throw instead of exit(1) so that tests can assert on fatal paths;
-    // uncaught, this still terminates the process with an error.
+    // Throw instead of exit(1) so that tests can assert on fatal paths
+    // and entry points can report user errors once, as usage errors;
+    // uncaught, this still terminates the process with the message.
     throw std::runtime_error("fatal: " + msg);
 }
 

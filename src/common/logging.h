@@ -32,8 +32,7 @@ namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 void debugImpl(const std::string &msg);
@@ -59,12 +58,14 @@ composeMessage(Args &&...args)
                                ::hilos::detail::composeMessage(__VA_ARGS__))
 
 /**
- * Exit with a message: the run cannot continue because of a condition
+ * Stop with a message: the run cannot continue because of a condition
  * that is the caller's fault (bad configuration, invalid arguments).
+ * Throws std::runtime_error("fatal: <msg>") without printing anything;
+ * the catcher reports it once (hilos_cli prints "error: fatal: <msg>"
+ * and exits 2), and an uncaught one still terminates with the message.
  */
 #define HILOS_FATAL(...)                                                   \
-    ::hilos::detail::fatalImpl(__FILE__, __LINE__,                         \
-                               ::hilos::detail::composeMessage(__VA_ARGS__))
+    ::hilos::detail::fatalImpl(::hilos::detail::composeMessage(__VA_ARGS__))
 
 /** Non-fatal warning, printed at LogLevel::Warn and above. */
 #define HILOS_WARN(...)                                                    \

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -11,7 +13,6 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "runtime/step_plan.h"
-#include "sim/event_queue.h"
 
 namespace hilos {
 
@@ -280,15 +281,33 @@ ServingSimulator::run(const std::vector<Request> &requests) const
     const auto admitsLater = [&](std::size_t a, std::size_t b) {
         return admitsBefore(cfg_.policy, candidate(b), candidate(a));
     };
-    EventQueue eq;
     std::vector<std::size_t> pending;
-    for (const RequestRecord &rec : res.records) {
-        const std::size_t id = rec.id;
-        eq.scheduleAt(rec.arrival, [&pending, &admitsLater, id] {
-            pending.push_back(id);
+
+    // Arrivals fire from a cursor over the ids in arrival order, ties
+    // in id order. advanceTo(limit) pushes every arrival at or before
+    // `limit` onto the backlog and moves the clock to `limit` (never
+    // backwards): time advances only through it.
+    std::vector<std::size_t> arrivals(res.records.size());
+    std::iota(arrivals.begin(), arrivals.end(), std::size_t{0});
+    std::stable_sort(arrivals.begin(), arrivals.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return res.records[a].arrival <
+                                res.records[b].arrival;
+                     });
+    std::size_t next_arrival = 0;
+    Seconds now = 0.0;
+    const auto nextArrival = [&] {
+        return next_arrival < arrivals.size()
+                   ? res.records[arrivals[next_arrival]].arrival
+                   : Seconds(std::numeric_limits<double>::infinity());
+    };
+    const auto advanceTo = [&](Seconds limit) {
+        while (next_arrival < arrivals.size() && nextArrival() <= limit) {
+            pending.push_back(arrivals[next_arrival++]);
             std::push_heap(pending.begin(), pending.end(), admitsLater);
-        });
-    }
+        }
+        now = std::max(now, limit);
+    };
 
     struct InFlight {
         std::size_t id = 0;
@@ -311,7 +330,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
     while (completed < res.requests) {
         if (flight.empty() && pending.empty() && prefilling.empty()) {
             // Idle: jump straight to the next arrival.
-            eq.runUntil(eq.peekNext());
+            advanceTo(nextArrival());
             continue;
         }
 
@@ -346,7 +365,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
                 if (cost.capacity(ctx) < committed + 1)
                     break;
                 flight_ctx = ctx;
-                res.records[id].admitted = eq.now();
+                res.records[id].admitted = now;
                 admitted.push_back(id);
                 std::pop_heap(pending.begin(), pending.end(), admitsLater);
                 pending.pop_back();
@@ -365,7 +384,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
                 g.prompt_ctx = roundUp(prompt, cfg_.bucket_quantum);
                 const Seconds chunk0 = cost.prefillChunkTime(
                     g.ids.size(), g.prompt_ctx, 0, cfg_.prefill_chunks);
-                eq.runUntil(eq.now() + chunk0);
+                advanceTo(now + chunk0);
                 res.prefill_batches++;
                 res.prefill_chunks_run++;
                 if (cfg_.prefill_chunks == 1) {
@@ -387,17 +406,18 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         // fleet-bound, prefill compute host-bound), so the loop turn
         // costs the slower of the two.
         Seconds step = 0.0;
+        std::uint64_t ctx_now = 0;
+        std::uint64_t step_ctx = 0;
         if (!flight.empty()) {
             res.peak_in_flight = std::max<std::uint64_t>(
                 res.peak_in_flight, flight.size());
-            std::uint64_t ctx_now = 0;
             for (const InFlight &f : flight) {
                 const RequestRecord &rec = res.records[f.id];
                 ctx_now =
                     std::max(ctx_now, rec.input_tokens + f.generated);
             }
-            step = cost.stepTime(flight.size(),
-                                 roundUp(ctx_now, cfg_.bucket_quantum));
+            step_ctx = roundUp(ctx_now, cfg_.bucket_quantum);
+            step = cost.stepTime(flight.size(), step_ctx);
             res.decode_steps++;
         }
         Seconds chunk = 0.0;
@@ -411,17 +431,51 @@ ServingSimulator::run(const std::vector<Request> &requests) const
             if (!flight.empty())
                 res.prefill_preemptions++;
         }
-        eq.runUntil(eq.now() + std::max(step, chunk));
+        const Seconds turn = std::max(step, chunk);
+        advanceTo(now + turn);
 
         if (!flight.empty()) {
             for (InFlight &f : flight) {
                 f.generated++;
                 if (f.generated == 1)
-                    res.records[f.id].first_token = eq.now();
+                    res.records[f.id].first_token = now;
+            }
+            // Skip ahead over the run of identical steps that follows:
+            // with no prefill group and nothing admissible at the next
+            // boundary (empty backlog, or a full batch), every step
+            // repeats this one, same batch and same padded context,
+            // until a request completes, the longest context (now
+            // ctx_now + 1) leaves its bucket, or an arrival makes
+            // admission possible. Each skipped step is the one the
+            // loop would have taken: the clock is the same sequential
+            // sum, arrivals fire in the same order, and each counts as
+            // the cached stepTime() hit it would have been.
+            const bool full = flight.size() >= cfg_.max_batch;
+            if (prefilling.empty() && (pending.empty() || full)) {
+                std::uint64_t k = step_ctx - ctx_now;
+                for (const InFlight &f : flight)
+                    k = std::min(k, res.records[f.id].output_tokens -
+                                        f.generated);
+                const Seconds watch =
+                    full ? Seconds(std::numeric_limits<double>::infinity())
+                         : nextArrival();
+                Seconds t = now;
+                std::uint64_t skipped = 0;
+                while (skipped < k) {
+                    t = t + turn;
+                    skipped++;
+                    if (t >= watch)
+                        break;
+                }
+                advanceTo(t);
+                for (InFlight &f : flight)
+                    f.generated += skipped;
+                res.decode_steps += skipped;
+                cost.hits += skipped;
             }
             for (const InFlight &f : flight) {
                 if (f.generated >= res.records[f.id].output_tokens) {
-                    res.records[f.id].completed = eq.now();
+                    res.records[f.id].completed = now;
                     completed++;
                 }
             }

@@ -12,8 +12,13 @@
  * engine's StepPlan IR (`StepPlanSource::decodeStepPlan` +
  * `evaluatePlan`) rather than re-running whole-engine `run()` calls;
  * engines that emit no plans (the fleet) fall back to cached `run()`
- * results. Time advances on a `sim/event_queue`, so arrivals interleave
- * with decode steps deterministically.
+ * results. Time advances on one clock, with arrivals fired from a
+ * cursor over the requests sorted by arrival (ties in submission
+ * order), so they interleave with decode steps deterministically. A
+ * run of decode steps that cannot differ (same batch, same padded
+ * context, nothing admissible at the next boundary) is taken in one
+ * pass, with the clock summed step by step, so results are the same
+ * bits as stepping one at a time.
  *
  * Prefill is admitted as chunked steps (`ServingConfig::prefill_chunks`)
  * interleaved with decode: a newly admitted group's first chunk is

@@ -11,14 +11,15 @@
  * ($<TARGET_FILE:hilos_cli>), so the test is build-tree relocatable.
  *
  * The same binary also pins the input boundary: out-of-domain run,
- * HILOS and serving options and unknown model/engine names exit 2 with
- * a named diagnostic on stderr, never an abort.
+ * HILOS and serving options, negative counts and unknown model/engine
+ * names exit 2 with one named diagnostic on stderr, never an abort.
  */
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -146,6 +147,39 @@ TEST(CliBoundary, UnknownNamesExitTwoNotAbort)
     expectRejected("--engine nope", "fatal: unknown engine 'nope'");
     expectRejected("--fault-plan bogus=1",
                    "fatal: fault plan: unknown clause 'bogus=1'");
+}
+
+TEST(CliBoundary, FatalErrorsPrintOnce)
+{
+    // One "error:" line per user error, without the source location of
+    // the HILOS_FATAL that raised it.
+    for (const char *args : {"--model NOPE", "--fault-plan bogus=1"}) {
+        std::string err;
+        EXPECT_EQ(runForStderr(args, &err), 2) << args;
+        EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+        EXPECT_EQ(err.rfind("error: fatal: ", 0), 0u) << err;
+        EXPECT_EQ(err.find(".cc:"), std::string::npos) << err;
+    }
+}
+
+TEST(CliBoundary, RejectsOutOfRangeCounts)
+{
+    expectRejected("--hosts 0", "hosts 0 must be >= 1");
+    expectRejected("--window -5", "window -5 must be >= 0");
+    expectRejected("--spares -1", "spares -1 must be >= 0");
+    // Exercised only on this rejection path: an accepted value of
+    // --jobs starts that many worker threads under --report.
+    expectRejected("--jobs -1", "jobs -1 must be >= 0");
+}
+
+TEST(CliBoundary, ZeroOutputTokensHaveNoPerTokenEnergy)
+{
+    // --output 0 is degenerate but legal: the run completes and the
+    // per-token energy reads n/a rather than inf.
+    const std::string out =
+        capture(std::string(HILOS_CLI_PATH) + " --output 0 2>/dev/null");
+    EXPECT_NE(out.find(" kJ (n/a J/token)"), std::string::npos) << out;
+    EXPECT_EQ(out.find("inf J/token"), std::string::npos) << out;
 }
 
 TEST(CliBoundary, RejectsOutOfDomainHilosOptions)

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -214,6 +216,137 @@ TEST(GoldenSnapshots, ServingPoliciesWithTiesOpt66b)
            << serialize(ServingSimulator(engine, cfg).run(stream));
     }
     expectGolden("serving_policies_opt66b.txt", os.str());
+}
+
+Request
+servingRequest(std::uint64_t input, std::uint64_t output, Seconds arrival)
+{
+    return Request{classifyByInputLength(input), input, output, arrival};
+}
+
+/**
+ * FNV-1a over the IEEE-754 bits of every lifecycle timestamp, so a
+ * last-bit drift that serialize()'s nine-digit print rounds away still
+ * changes the golden.
+ */
+std::string
+timelineBits(const ServingResult &r)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    const auto mix = [&h](Seconds s) {
+        const double v = s.value();
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        for (int i = 0; i < 8; i++) {
+            h ^= (bits >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    };
+    for (const RequestRecord &rec : r.records) {
+        mix(rec.admitted);
+        mix(rec.first_token);
+        mix(rec.completed);
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+TEST(GoldenSnapshots, ServingFastForwardOpt66b)
+{
+    // Streams shaped around every point where the serving loop's run
+    // of identical decode steps ends: an arrival landing exactly on a
+    // step end, unsorted and tied arrivals, single-token requests,
+    // bucket crossings mid-run, a full batch collecting arrivals under
+    // sjf, and chunked prefill. Each case pins the whole result plus
+    // the exact bits of every timestamp.
+    const HilosEngine engine(defaultSystem(), HilosOptions{});
+    ServingConfig base;
+    base.model = modelByName("OPT-66B");
+    base.max_batch = 8;
+    std::ostringstream os;
+    const auto serve = [&](const char *title, const ServingConfig &cfg,
+                           const std::vector<Request> &stream) {
+        const ServingResult r = ServingSimulator(engine, cfg).run(stream);
+        os << "==== " << title << " ====\n"
+           << serialize(r) << "timeline_bits = " << timelineBits(r) << "\n";
+    };
+
+    // The 40th decode step of a lone request ends at its completion;
+    // the same request with a longer output passes that instant as a
+    // step end, where the second request lands exactly (the third one
+    // ulp later).
+    const ServingSimulator sim(engine, base);
+    const Seconds step_end =
+        sim.run({servingRequest(900, 40, 0.0)}).records[0].completed;
+    const Seconds after(std::nextafter(step_end.value(), 1e300));
+    std::vector<Request> on_step;
+    on_step.push_back(servingRequest(900, 120, 0.0));
+    on_step.push_back(servingRequest(300, 30, step_end));
+    on_step.push_back(servingRequest(300, 30, after));
+    serve("arrival on a step end", base, on_step);
+
+    std::vector<Request> tied;
+    tied.push_back(servingRequest(700, 60, 30.0));
+    tied.push_back(servingRequest(200, 90, 5.0));
+    tied.push_back(servingRequest(1500, 20, 30.0));
+    tied.push_back(servingRequest(400, 45, 0.0));
+    tied.push_back(servingRequest(400, 45, 5.0));
+    tied.push_back(servingRequest(100, 70, 30.0));
+    tied.push_back(servingRequest(900, 10, 12.0));
+    tied.push_back(servingRequest(250, 35, 0.0));
+    ServingConfig narrow = base;
+    narrow.max_batch = 3;
+    serve("unsorted tied arrivals, fcfs", narrow, tied);
+    narrow.policy = ServingPolicy::Sjf;
+    serve("unsorted tied arrivals, sjf", narrow, tied);
+
+    std::vector<Request> single;
+    single.push_back(servingRequest(500, 1, 0.0));
+    single.push_back(servingRequest(700, 50, 0.0));
+    single.push_back(servingRequest(200, 1, 3.0));
+    single.push_back(servingRequest(400, 1, 40.0));
+    single.push_back(servingRequest(300, 2, 40.0));
+    single.push_back(servingRequest(600, 1, 500.0));
+    serve("single-token outputs", base, single);
+
+    ServingConfig fine = base;
+    fine.bucket_quantum = 64;
+    std::vector<Request> crossing;
+    crossing.push_back(servingRequest(1000, 300, 0.0));
+    crossing.push_back(servingRequest(130, 200, 20.0));
+    crossing.push_back(servingRequest(60, 5, 21.0));
+    crossing.push_back(servingRequest(2000, 150, 90.0));
+    serve("bucket quantum 64", fine, crossing);
+
+    ServingConfig full = base;
+    full.max_batch = 4;
+    full.policy = ServingPolicy::Sjf;
+    std::vector<Request> busy;
+    for (std::uint64_t i = 0; i < 14; i++) {
+        const std::uint64_t output = 20 + (i * 37) % 180;
+        const Seconds arrival(3.0 * static_cast<double>(i));
+        busy.push_back(servingRequest(200 + 97 * i, output, arrival));
+    }
+    serve("full batch, sjf", full, busy);
+
+    ServingConfig chunked = base;
+    chunked.prefill_chunks = 2;
+    std::vector<Request> prefills;
+    prefills.push_back(servingRequest(1200, 40, 0.0));
+    prefills.push_back(servingRequest(800, 60, 2.0));
+    prefills.push_back(servingRequest(300, 25, 2.0));
+    prefills.push_back(servingRequest(1500, 30, 150.0));
+    serve("prefill chunks 2", chunked, prefills);
+
+    PoissonStreamConfig pc;
+    pc.arrival_rate = 0.002;
+    pc.count = 24;
+    Rng rng;  // fixed default seed
+    serve("light poisson", base, makePoissonArrivals(pc, rng));
+
+    expectGolden("serving_fastforward_opt66b.txt", os.str());
 }
 
 TEST(GoldenSnapshots, BatcherTokenAccountingOpt66b)
