@@ -56,7 +56,7 @@ main(int argc, char **argv)
         RunResult analytic;
         EventSimResult sim;
     };
-    const unsigned jobs = static_cast<unsigned>(args.getInt("jobs"));
+    const unsigned jobs = static_cast<unsigned>(args.getCount("jobs"));
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
         return 2;

@@ -70,7 +70,7 @@ main(int argc, char **argv)
         std::cerr << args.usage();
         return args.helpRequested() ? 0 : 2;
     }
-    const unsigned jobs = static_cast<unsigned>(args.getInt("jobs"));
+    const unsigned jobs = static_cast<unsigned>(args.getCount("jobs"));
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
         return 2;

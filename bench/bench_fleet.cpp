@@ -151,10 +151,8 @@ replayPlanLibrary(const std::string &dir, const SystemConfig &sys,
     return violations;
 }
 
-}  // namespace
-
 int
-main(int argc, char **argv)
+runBench(int argc, char **argv)
 {
     ArgParser args("bench_fleet");
     args.addOption("hosts", "4", "fleet size for the node-loss study");
@@ -181,27 +179,27 @@ main(int argc, char **argv)
         std::cerr << args.usage();
         return args.helpRequested() ? 0 : 2;
     }
-    const unsigned hosts = static_cast<unsigned>(args.getInt("hosts"));
-    const unsigned devices = static_cast<unsigned>(args.getInt("devices"));
+    const unsigned hosts = static_cast<unsigned>(args.getCount("hosts"));
+    const unsigned devices =
+        static_cast<unsigned>(args.getCount("devices"));
     const unsigned max_hosts =
-        static_cast<unsigned>(args.getInt("max-hosts"));
-    const std::uint64_t per_host =
-        static_cast<std::uint64_t>(args.getInt("batch-per-host"));
+        static_cast<unsigned>(args.getCount("max-hosts"));
+    const std::uint64_t per_host = args.getCount("batch-per-host");
     const PlacementPolicy policy =
         parsePlacementPolicy(args.get("policy"));
-    const unsigned spares = static_cast<unsigned>(args.getInt("spares"));
+    const unsigned spares = static_cast<unsigned>(args.getCount("spares"));
     const Seconds target_step = msec(args.getDouble("target-step"));
-    const unsigned jobs = static_cast<unsigned>(args.getInt("jobs"));
+    const unsigned jobs = static_cast<unsigned>(args.getCount("jobs"));
+    RunConfig run;
+    run.model = opt66b();
+    run.context_len = args.getCount("context");
+    run.output_len = args.getCount("output");
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
         return 2;
     }
 
     SystemConfig sys = defaultSystem();
-    RunConfig run;
-    run.model = opt66b();
-    run.context_len = static_cast<std::uint64_t>(args.getInt("context"));
-    run.output_len = static_cast<std::uint64_t>(args.getInt("output"));
 
     FleetConfig shape;
     shape.hosts = hosts;
@@ -362,4 +360,20 @@ main(int argc, char **argv)
                  "graceful degradation with availability < 1, and "
                  "analytic/event-sim agreement.\n";
     return 0;
+}
+
+}  // namespace
+
+int
+main(int argc, char **argv)
+{
+    // HILOS_FATAL throws on input the parser cannot check (an unknown
+    // --policy, a malformed --fault-plan, a fleet shape out of range):
+    // a usage error reported as one line, not an abort.
+    try {
+        return runBench(argc, argv);
+    } catch (const std::exception &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 }

@@ -57,10 +57,8 @@ pointStream(double rate, std::size_t rate_index, std::size_t count)
     return makePoissonArrivals(pc, rng);
 }
 
-}  // namespace
-
 int
-main(int argc, char **argv)
+runBench(int argc, char **argv)
 {
     ArgParser args("bench_serving");
     args.addOption("model", "OPT-66B", "model to serve");
@@ -82,10 +80,12 @@ main(int argc, char **argv)
         std::cerr << args.usage();
         return args.helpRequested() ? 0 : 2;
     }
-    const std::size_t requests =
-        static_cast<std::size_t>(args.getInt("requests"));
+    const std::size_t requests = args.getCount("requests");
     const Seconds slo = msec(args.getDouble("slo-ms"));
-    const unsigned jobs = static_cast<unsigned>(args.getInt("jobs"));
+    const unsigned jobs = static_cast<unsigned>(args.getCount("jobs"));
+    HilosOptions opts;
+    opts.num_devices = static_cast<unsigned>(args.getCount("devices"));
+    const std::uint64_t max_batch = args.getCount("max-batch");
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
         return 2;
@@ -99,15 +99,28 @@ main(int argc, char **argv)
             rates.push_back(std::stod(tok));
     check(!rates.empty(), "at least one arrival rate is required");
 
-    SystemConfig sys = defaultSystem();
-    HilosOptions opts;
-    opts.num_devices = static_cast<unsigned>(args.getInt("devices"));
-    const HilosEngine engine(sys, opts);
-
     ServingConfig base;
     base.model = modelByName(args.get("model"));
-    base.max_batch = static_cast<std::uint64_t>(args.getInt("max-batch"));
+    base.max_batch = max_batch;
     base.slo = slo;
+    std::vector<std::string> diags = opts.validate();
+    for (const std::string &d : base.validate())
+        diags.push_back(d);
+    if (requests == 0)
+        diags.push_back("requests 0 must be >= 1");
+    for (double r : rates) {
+        PoissonStreamConfig pc;
+        pc.arrival_rate = r;
+        for (const std::string &d : pc.validate())
+            diags.push_back(d);
+    }
+    for (const std::string &d : diags)
+        std::cerr << "error: " << d << "\n";
+    if (!diags.empty())
+        return 2;
+
+    SystemConfig sys = defaultSystem();
+    const HilosEngine engine(sys, opts);
 
     const ServingPolicy policies[] = {
         ServingPolicy::Fcfs, ServingPolicy::Sjf, ServingPolicy::SloAware};
@@ -263,4 +276,19 @@ main(int argc, char **argv)
     if (!args.get("json-dir").empty())
         json.write(args.get("json-dir"));
     return 0;
+}
+
+}  // namespace
+
+int
+main(int argc, char **argv)
+{
+    // HILOS_FATAL throws on names the parser cannot check (an unknown
+    // --model): a usage error reported as one line, not an abort.
+    try {
+        return runBench(argc, argv);
+    } catch (const std::exception &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 }

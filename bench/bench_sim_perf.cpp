@@ -126,8 +126,7 @@ main(int argc, char **argv)
         std::cerr << args.usage();
         return args.helpRequested() ? 0 : 2;
     }
-    const std::size_t grid_repeats =
-        static_cast<std::size_t>(args.getInt("grid-repeats"));
+    const std::size_t grid_repeats = args.getCount("grid-repeats");
     const int repeats = static_cast<int>(args.getInt("repeats"));
     const double min_speedup = args.getDouble("min-speedup");
     if (!args.ok()) {
@@ -225,9 +224,9 @@ main(int argc, char **argv)
         },
         repeats);
     check(sink > 0.0, "plan evaluation produced zero time");
-    report("evaluate_plan_analytic", "us/op",
+    report("evaluate_plan_analytic", "us/plan",
            1e6 * analytic / eval_plan_iters);
-    report("simulate_plan_event", "us/op",
+    report("simulate_plan_event", "us/plan",
            1e6 * event_sim / eval_plan_iters);
 
     // --- 2b. Prefill-phase plans: build/evaluate cost + chunk ratio ---
@@ -249,9 +248,9 @@ main(int argc, char **argv)
                 sink += evaluatePlan(prefill_plan).decode_step_time;
         },
         repeats);
-    report("prefill_plan_build", "us/op",
+    report("prefill_plan_build", "us/plan",
            1e6 * prefill_build / eval_plan_iters);
-    report("prefill_plan_evaluate", "us/op",
+    report("prefill_plan_evaluate", "us/plan",
            1e6 * prefill_eval / eval_plan_iters);
     // Deterministic model ratios: machine-portable, so enforced against
     // the baseline like the speedups. Chunking re-streams weights per

@@ -311,50 +311,38 @@ runCli(int argc, char **argv)
         return args.ok() ? 0 : 2;
     }
 
-    SystemConfig sys =
-        args.get("gpu") == "h100" ? h100System() : defaultSystem();
+    const std::string gpu = args.get("gpu");
+    if (gpu != "a100" && gpu != "h100") {
+        std::cerr << "error: unknown gpu '" << gpu << "' (a100, h100)\n";
+        return 2;
+    }
+    SystemConfig sys = gpu == "h100" ? h100System() : defaultSystem();
     RunConfig run;
     run.model = modelByName(args.get("model"));
-    run.batch = static_cast<std::uint64_t>(args.getInt("batch"));
-    run.context_len = static_cast<std::uint64_t>(args.getInt("context"));
-    run.output_len = static_cast<std::uint64_t>(args.getInt("output"));
-    run.prefill_chunks =
-        static_cast<std::uint64_t>(args.getInt("prefill-chunks"));
+    run.batch = args.getCount("batch");
+    run.context_len = args.getCount("context");
+    run.output_len = args.getCount("output");
+    run.prefill_chunks = args.getCount("prefill-chunks");
 
     HilosOptions opts;
-    opts.num_devices = static_cast<unsigned>(args.getInt("devices"));
+    opts.num_devices = static_cast<unsigned>(args.getCount("devices"));
     opts.xcache = !args.getFlag("no-xcache");
     opts.delayed_writeback = !args.getFlag("no-writeback");
     opts.alpha_override = args.getDouble("alpha");
-    opts.spill_interval =
-        static_cast<unsigned>(args.getInt("spill"));
+    opts.spill_interval = static_cast<unsigned>(args.getCount("spill"));
     opts.cxl_mode = args.getFlag("cxl");
-    const std::int64_t window = args.getInt("window");
+    opts.attention_window = args.getCount("window");
     const std::int64_t hosts_arg = args.getInt("hosts");
-    const std::int64_t spares_arg = args.getInt("spares");
-    const std::int64_t jobs_arg = args.getInt("jobs");
+    const unsigned spares = static_cast<unsigned>(args.getCount("spares"));
+    const unsigned jobs = static_cast<unsigned>(args.getCount("jobs"));
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
         return 2;
     }
-    // These land in unsigned fields, where a negative value would wrap
-    // to a huge one: reject it (and a fleet of no hosts) up front.
-    std::vector<std::string> bounds;
-    if (window < 0)
-        bounds.push_back("window " + std::to_string(window) +
-                         " must be >= 0 (0 = full attention)");
-    if (hosts_arg < 1)
-        bounds.push_back("hosts " + std::to_string(hosts_arg) +
-                         " must be >= 1");
-    if (spares_arg < 0)
-        bounds.push_back("spares " + std::to_string(spares_arg) +
-                         " must be >= 0");
-    if (jobs_arg < 0)
-        bounds.push_back("jobs " + std::to_string(jobs_arg) +
-                         " must be >= 0 (0 = all cores)");
-    if (!reportDiagnostics(bounds))
+    if (hosts_arg < 1) {
+        std::cerr << "error: hosts " << hosts_arg << " must be >= 1\n";
         return 2;
-    opts.attention_window = static_cast<std::uint64_t>(window);
+    }
     // --serve checks its own domain below (ServingConfig::validate),
     // where --batch is the batch cap rather than a run's batch.
     if (!args.getFlag("serve") && !reportDiagnostics(run.validate()))
@@ -416,7 +404,6 @@ runCli(int argc, char **argv)
 
     const unsigned hosts = static_cast<unsigned>(hosts_arg);
     const std::string policy_name = args.get("policy");
-    const unsigned spares = static_cast<unsigned>(spares_arg);
 
     const std::string report_path = args.get("report");
     if (!report_path.empty()) {
@@ -424,7 +411,7 @@ runCli(int argc, char **argv)
         rc.fault_plan = opts.fault_plan;
         rc.hosts = hosts;
         rc.fleet_policy = parsePlacementPolicy(policy_name);
-        rc.jobs = static_cast<unsigned>(jobs_arg);
+        rc.jobs = jobs;
         const EvaluationReport rep = runEvaluation(sys, rc);
         std::ofstream out(report_path);
         if (!out) {
@@ -510,8 +497,7 @@ runCli(int argc, char **argv)
         } else {
             PoissonStreamConfig pc;
             pc.arrival_rate = args.getDouble("arrival-rate");
-            pc.count =
-                static_cast<std::size_t>(args.getInt("requests"));
+            pc.count = args.getCount("requests");
             if (!args.ok()) {
                 std::cerr << "error: " << args.error() << "\n";
                 return 2;

@@ -130,8 +130,7 @@ main(int argc, char **argv)
 
     const std::uint64_t base =
         static_cast<std::uint64_t>(args.getInt("seed"));
-    const std::uint64_t iters =
-        static_cast<std::uint64_t>(args.getInt("iters"));
+    const std::uint64_t iters = args.getCount("iters");
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
         return 2;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint invariants for the HILOS simulator.
 
-Seven checks, each guarding a convention the test suite cannot express
+Eight checks, each guarding a convention the test suite cannot express
 as a compile error (those live in tests/compile_fail/):
 
  1. quantity-typed public APIs: headers under src/ must not declare
@@ -42,6 +42,13 @@ as a compile error (those live in tests/compile_fail/):
     (src/runtime/plan_analyzer.*) emits must carry a well-formed,
     unique PAnnn ID, and every finding must flow through the single
     ID-stamping emitter — no ad-hoc PlanFinding construction.
+
+ 8. no test-only modules: every src/**/*.cc must be reachable through
+    the #include closure of the shipped programs (bench/, examples/,
+    perfbench/src/). Reaching x.h also reaches x.cc. A source file that
+    only its own test builds is dead weight: wire it into a result or
+    delete it. The check sees files, not classes — an unused class
+    inside a reachable file passes.
 
 Exits non-zero listing file:line for every violation. No third-party
 imports; runs anywhere a python3 exists (CI and the ctest fast lane).
@@ -326,6 +333,56 @@ def check_analyzer_diag_ids(violations):
                 )
 
 
+# --- check 8: every src/ translation unit is reachable from a program -------
+
+INCLUDE_LINE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+PROGRAM_DIRS = ("bench", "examples", "perfbench/src")
+# Quoted includes resolve against the including file's directory, then
+# these roots (the include paths the CMake targets export).
+INCLUDE_ROOTS = (ROOT / "src", ROOT / "tests")
+
+
+def resolve_include(name, including_dir):
+    for base in (including_dir,) + INCLUDE_ROOTS:
+        candidate = (base / name).resolve()
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def check_src_reachability(violations):
+    pending = [
+        path.resolve()
+        for base in PROGRAM_DIRS
+        for path in sorted((ROOT / base).rglob("*"))
+        if path.suffix in (".h", ".cc", ".cpp")
+    ]
+    reached = set()
+    while pending:
+        path = pending.pop()
+        if path in reached:
+            continue
+        reached.add(path)
+        if path.suffix == ".h":
+            source = path.with_suffix(".cc")
+            if source.is_file():
+                pending.append(source)
+        for line in path.read_text().splitlines():
+            match = INCLUDE_LINE.match(line)
+            if match:
+                target = resolve_include(match.group(1), path.parent)
+                if target is not None:
+                    pending.append(target)
+    for path in sorted((ROOT / "src").rglob("*.cc")):
+        if path.resolve() not in reached:
+            violations.append(
+                f"{path.relative_to(ROOT)}: not reachable from any "
+                f"program under {', '.join(PROGRAM_DIRS)}; a module "
+                f"only its own test builds should drive a result or "
+                f"be deleted"
+            )
+
+
 def main():
     violations = []
     check_quantity_types(violations)
@@ -335,6 +392,7 @@ def main():
     check_prefill_fractions(violations)
     check_external_determinism(violations)
     check_analyzer_diag_ids(violations)
+    check_src_reachability(violations)
     if violations:
         print(f"lint_hilos: {len(violations)} violation(s)")
         for v in violations:

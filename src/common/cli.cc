@@ -111,6 +111,18 @@ ArgParser::getInt(const std::string &name) const
     return parsed;
 }
 
+std::uint64_t
+ArgParser::getCount(const std::string &name) const
+{
+    const std::int64_t parsed = getInt(name);
+    if (parsed < 0) {
+        const_cast<ArgParser *>(this)->error_ =
+            name + " " + std::to_string(parsed) + " must be >= 0";
+        return 0;
+    }
+    return static_cast<std::uint64_t>(parsed);
+}
+
 double
 ArgParser::getDouble(const std::string &name) const
 {

@@ -48,6 +48,12 @@ class ArgParser
     std::string get(const std::string &name) const;
     /** Integer value; error state if unparsable. */
     std::int64_t getInt(const std::string &name) const;
+    /**
+     * Non-negative integer value, for options that land in unsigned
+     * fields where a negative would wrap to a huge count. Error state
+     * ("<name> <value> must be >= 0") if negative or unparsable.
+     */
+    std::uint64_t getCount(const std::string &name) const;
     /** Double value; error state if unparsable. */
     double getDouble(const std::string &name) const;
     /** Boolean flag presence. */

@@ -3,15 +3,14 @@
  * SmartSSD composite device: a 3.84 TB NVMe SSD, a Kintex UltraScale+
  * KU15P FPGA with 4 GB of DDR4-2400, and an internal PCIe 3.0 x4 P2P
  * path between them (§2.3, §5.3). The FPGA's attention-kernel throughput
- * is supplied by the accelerator cycle model at runtime; this class owns
- * the storage/memory/link characteristics and the P2P timing.
+ * is supplied by the accelerator cycle model at runtime; these configs
+ * hold the storage/memory/link characteristics the engines price.
  */
 
 #ifndef HILOS_DEVICE_SMARTSSD_H_
 #define HILOS_DEVICE_SMARTSSD_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/units.h"
@@ -32,60 +31,6 @@ struct SmartSsdConfig {
     double price_usd = 2400.0;
 
     SmartSsdConfig() { nand = smartSsdNandConfig(); }
-};
-
-/** Health of a composite SmartSSD (NAND + FPGA + internal link). */
-enum class DeviceHealth {
-    Healthy,
-    Degraded,  ///< operational with a derated internal P2P path
-    Failed,    ///< offline; its shards must re-dispatch elsewhere
-};
-
-/**
- * One SmartSSD. Owns its SSD model (with wear accounting); exposes P2P
- * transfer timing on the internal path that bypasses the host fabric.
- */
-class SmartSsd
-{
-  public:
-    explicit SmartSsd(const SmartSsdConfig &cfg);
-
-    /** Internal NAND -> FPGA DRAM read time (the P2P path, §2.3). */
-    Seconds p2pReadTime(std::uint64_t bytes) const;
-
-    /** Internal FPGA DRAM -> NAND write time. */
-    Seconds p2pWriteTime(std::uint64_t bytes) const;
-
-    /** FPGA on-board DRAM streaming time. */
-    Seconds dramTime(Bytes bytes) const;
-
-    /** Current health state (Healthy on construction). */
-    DeviceHealth health() const { return health_; }
-
-    /**
-     * Derate the internal P2P path by `bw_multiplier` in (0, 1]
-     * (link retraining at lower width/speed). Repeated calls compound;
-     * the device reports Degraded.
-     */
-    void degradeP2p(double bw_multiplier);
-
-    /** Take the device offline; further P2P access is a panic. */
-    void fail();
-
-    /** Current P2P bandwidth multiplier (1 when healthy). */
-    double p2pDerate() const { return p2p_derate_; }
-
-    /** The embedded SSD (for host-path I/O and endurance accounting). */
-    Ssd &ssd() { return *ssd_; }
-    const Ssd &ssd() const { return *ssd_; }
-
-    const SmartSsdConfig &config() const { return cfg_; }
-
-  private:
-    SmartSsdConfig cfg_;
-    std::unique_ptr<Ssd> ssd_;
-    DeviceHealth health_ = DeviceHealth::Healthy;
-    double p2p_derate_ = 1.0;
 };
 
 /** Default SmartSSD preset (Table 1). */

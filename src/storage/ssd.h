@@ -1,11 +1,8 @@
 /**
  * @file
- * NVMe SSD device model.
- *
- * Combines datasheet-style analytic timing (sequential bandwidth,
- * random IOPS, sub-page write penalty) with a functional FTL for wear
- * and write-amplification accounting. Presets model the two devices in
- * the paper's testbed: the Samsung PM9A3 (baseline PCIe 4.0 SSD) and the
+ * NVMe SSD parameters: datasheet-style configs and the closed-form
+ * sub-page random-write timing. Presets model the two devices in the
+ * paper's testbed: the Samsung PM9A3 (baseline PCIe 4.0 SSD) and the
  * NVMe SSD inside a SmartSSD (PCIe 3.0 x4 internal P2P path).
  */
 
@@ -13,12 +10,9 @@
 #define HILOS_STORAGE_SSD_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
-#include "common/stats.h"
 #include "common/units.h"
-#include "storage/ftl.h"
 
 namespace hilos {
 
@@ -46,111 +40,10 @@ struct SsdConfig {
  * Time for `count` random writes of `bytes` each on a device with
  * datasheet `cfg`. Writes smaller than a page are padded to page
  * granularity (RMW), so a 256 B KV entry write costs a full 4 KiB
- * program slot. Pure timing: needs no device state, hence no FTL.
+ * program slot.
  */
 Seconds ssdRandomWriteTime(const SsdConfig &cfg, std::uint64_t count,
                            std::uint64_t bytes);
-
-/** Device health for degraded-mode execution. */
-enum class SsdHealth {
-    Healthy,
-    Degraded,  ///< readable, but reads pay a slowdown factor
-    Failed,    ///< unreadable; accesses are a caller error
-};
-
-/**
- * An NVMe SSD: analytic timing plus FTL-backed wear accounting.
- *
- * Timing model:
- *  - sequential reads/writes stream at the datasheet bandwidth with a
- *    fixed command latency,
- *  - random (page-granular) accesses pay the IOPS limit,
- *  - sub-page writes cost a full page program (read-modify-write),
- *    which is the inefficiency delayed KV writeback removes.
- *
- * Wear accounting runs through a scaled FTL: the FTL geometry is
- * reduced (capacity_scale) so multi-terabyte devices don't need
- * billion-entry maps, while write amplification factors remain
- * representative; byte totals are tracked at full scale.
- */
-class Ssd
-{
-  public:
-    /**
-     * @param cfg datasheet parameters
-     * @param capacity_scale divide the FTL-backed capacity by this
-     *        factor for wear simulation (timing is unaffected)
-     */
-    explicit Ssd(const SsdConfig &cfg, std::uint64_t capacity_scale = 4096);
-
-    /** Time to read `bytes` sequentially. */
-    Seconds readTime(std::uint64_t bytes) const;
-    /** Time to write `bytes` sequentially. */
-    Seconds writeTime(std::uint64_t bytes) const;
-    /** Time for `count` random reads of `bytes` each. */
-    Seconds randomReadTime(std::uint64_t count, std::uint64_t bytes) const;
-    /** Time for `count` random writes of `bytes` each
-     *  (ssdRandomWriteTime over this device's config). */
-    Seconds randomWriteTime(std::uint64_t count, std::uint64_t bytes) const;
-
-    /**
-     * Record a host write for endurance accounting (does not advance
-     * any clock). Sub-page writes inflate NAND traffic per the page
-     * granularity.
-     * @param sequential whether the write is sequential (page-aligned
-     *        streaming) or small/random
-     */
-    void recordWrite(std::uint64_t bytes, bool sequential);
-
-    /** Record a host read (for traffic stats only). */
-    void recordRead(std::uint64_t bytes);
-
-    /** Total NAND bytes programmed so far (endurance consumption). */
-    double nandBytesWritten() const;
-
-    /** Total host bytes written. */
-    double hostBytesWritten() const { return host_bytes_written_; }
-
-    /** Effective write amplification observed so far. */
-    double writeAmplification() const;
-
-    /** Fraction of rated endurance consumed. */
-    double enduranceConsumed() const;
-
-    /** Current health state (Healthy on construction). */
-    SsdHealth health() const { return health_; }
-
-    /**
-     * Mark the device degraded: reads slow down by `read_slowdown`
-     * (>= 1; ECC stress, media retention issues). Repeated calls
-     * compound.
-     */
-    void degrade(double read_slowdown);
-
-    /** Mark the device failed; further reads/writes are a panic. */
-    void fail() { health_ = SsdHealth::Failed; }
-
-    /** Current read slowdown factor (1 when healthy). */
-    double readSlowdown() const { return read_slowdown_; }
-
-    const SsdConfig &config() const { return cfg_; }
-    const Ftl &ftl() const { return *ftl_; }
-    StatRegistry &stats() { return stats_; }
-
-  private:
-    SsdConfig cfg_;
-    std::unique_ptr<Ftl> ftl_;
-    std::uint64_t scale_;
-    double host_bytes_written_ = 0.0;
-    double host_bytes_read_ = 0.0;
-    /** Sub-page padding overhead counted analytically (full scale). */
-    double padded_bytes_written_ = 0.0;
-    /** Next sequential-write cursor in scaled FTL space. */
-    std::uint64_t seq_cursor_ = 0;
-    SsdHealth health_ = SsdHealth::Healthy;
-    double read_slowdown_ = 1.0;
-    StatRegistry stats_;
-};
 
 /** Samsung PM9A3 3.84 TB (baseline PCIe 4.0 x4 SSD). */
 SsdConfig pm9a3Config();

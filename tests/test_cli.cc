@@ -96,6 +96,17 @@ TEST(Cli, BadIntegerSetsError)
     EXPECT_FALSE(p.ok());
 }
 
+TEST(Cli, CountAcceptsZeroAndRejectsNegative)
+{
+    ArgParser p = makeParser();
+    ASSERT_TRUE(parse(p, {"--batch", "0"}));
+    EXPECT_EQ(p.getCount("batch"), 0u);
+    EXPECT_TRUE(p.ok());
+    ASSERT_TRUE(parse(p, {"--batch", "-3"}));
+    EXPECT_EQ(p.getCount("batch"), 0u);
+    EXPECT_EQ(p.error(), "batch -3 must be >= 0");
+}
+
 TEST(Cli, HelpIsDetected)
 {
     ArgParser p = makeParser();

@@ -11,8 +11,10 @@
  * ($<TARGET_FILE:hilos_cli>), so the test is build-tree relocatable.
  *
  * The same binary also pins the input boundary: out-of-domain run,
- * HILOS and serving options, negative counts and unknown model/engine
- * names exit 2 with one named diagnostic on stderr, never an abort.
+ * HILOS and serving options, negative counts and unknown model/engine/
+ * gpu names exit 2 with one named diagnostic on stderr, never an abort.
+ * bench_serving and bench_fleet (paths via BENCH_SERVING_PATH and
+ * BENCH_FLEET_PATH) are held to the same boundary.
  */
 
 #include <gtest/gtest.h>
@@ -95,12 +97,12 @@ TEST(CliGolden, FaultPlanRun)
                 " 2>/dev/null"));
 }
 
-/** Run a CLI invocation; return its exit code and its stderr. */
+/** Run `binary args`; return its exit code and its stderr. */
 int
-runForStderr(const std::string &args, std::string *err)
+runForStderr(const std::string &binary, const std::string &args,
+             std::string *err)
 {
-    const std::string cmd =
-        std::string(HILOS_CLI_PATH) + " " + args + " 2>&1 >/dev/null";
+    const std::string cmd = binary + " " + args + " 2>&1 >/dev/null";
     FILE *pipe = popen(cmd.c_str(), "r");
     if (pipe == nullptr) {
         ADD_FAILURE() << "popen failed for: " << cmd;
@@ -114,16 +116,27 @@ runForStderr(const std::string &args, std::string *err)
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-/** Expect `args` to exit 2 with "error: <diagnostic>" and no panic. */
+/**
+ * Expect `binary args` to exit 2 with "error: <diagnostic>" and no
+ * panic or uncaught exception.
+ */
 void
-expectRejected(const char *args, const char *diagnostic)
+expectRejectedBy(const char *binary, const char *args,
+                 const char *diagnostic)
 {
     std::string err;
-    EXPECT_EQ(runForStderr(args, &err), 2) << args << "\n" << err;
+    EXPECT_EQ(runForStderr(binary, args, &err), 2) << args << "\n" << err;
     EXPECT_NE(err.find(std::string("error: ") + diagnostic),
               std::string::npos)
         << args << "\n" << err;
     EXPECT_EQ(err.find("panic"), std::string::npos) << err;
+    EXPECT_EQ(err.find("terminate"), std::string::npos) << err;
+}
+
+void
+expectRejected(const char *args, const char *diagnostic)
+{
+    expectRejectedBy(HILOS_CLI_PATH, args, diagnostic);
 }
 
 TEST(CliBoundary, ServeRejectsOutOfDomainOptions)
@@ -147,6 +160,7 @@ TEST(CliBoundary, UnknownNamesExitTwoNotAbort)
     expectRejected("--engine nope", "fatal: unknown engine 'nope'");
     expectRejected("--fault-plan bogus=1",
                    "fatal: fault plan: unknown clause 'bogus=1'");
+    expectRejected("--gpu tpu", "unknown gpu 'tpu' (a100, h100)");
 }
 
 TEST(CliBoundary, FatalErrorsPrintOnce)
@@ -155,7 +169,7 @@ TEST(CliBoundary, FatalErrorsPrintOnce)
     // the HILOS_FATAL that raised it.
     for (const char *args : {"--model NOPE", "--fault-plan bogus=1"}) {
         std::string err;
-        EXPECT_EQ(runForStderr(args, &err), 2) << args;
+        EXPECT_EQ(runForStderr(HILOS_CLI_PATH, args, &err), 2) << args;
         EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
         EXPECT_EQ(err.rfind("error: fatal: ", 0), 0u) << err;
         EXPECT_EQ(err.find(".cc:"), std::string::npos) << err;
@@ -170,6 +184,16 @@ TEST(CliBoundary, RejectsOutOfRangeCounts)
     // Exercised only on this rejection path: an accepted value of
     // --jobs starts that many worker threads under --report.
     expectRejected("--jobs -1", "jobs -1 must be >= 0");
+    // Unsigned run fields: a negative would wrap to a huge length.
+    expectRejected("--context -5", "context -5 must be >= 0");
+    expectRejected("--output -1", "output -1 must be >= 0");
+    expectRejected("--serve --requests -1", "requests -1 must be >= 0");
+}
+
+TEST(CliBoundary, DegenerateLengthsStayLegal)
+{
+    for (const char *args : {"--context 0", "--context 1"})
+        capture(std::string(HILOS_CLI_PATH) + " " + args + " 2>/dev/null");
 }
 
 TEST(CliBoundary, ZeroOutputTokensHaveNoPerTokenEnergy)
@@ -188,6 +212,55 @@ TEST(CliBoundary, RejectsOutOfDomainHilosOptions)
     expectRejected("--devices 17", "hilos: devices 17 must be in 1..16");
     expectRejected("--alpha 2", "hilos: alpha 2.000000 must be negative");
     expectRejected("--spill 0", "hilos: spill interval 0 must be >= 1");
+}
+
+// The bench binaries share the boundary contract: exit 2 with one
+// named diagnostic, never a wrapped count or an uncaught HILOS_FATAL.
+// Every case here is rejected before any sweep (or thread pool) starts.
+
+TEST(BenchBoundary, ServingRejectsNegativeCounts)
+{
+    expectRejectedBy(BENCH_SERVING_PATH, "--jobs -1",
+                     "jobs -1 must be >= 0");
+    expectRejectedBy(BENCH_SERVING_PATH, "--devices -1",
+                     "devices -1 must be >= 0");
+    expectRejectedBy(BENCH_SERVING_PATH, "--max-batch -2",
+                     "max-batch -2 must be >= 0");
+    expectRejectedBy(BENCH_SERVING_PATH, "--requests -1",
+                     "requests -1 must be >= 0");
+}
+
+TEST(BenchBoundary, ServingRejectsOutOfDomainConfig)
+{
+    expectRejectedBy(BENCH_SERVING_PATH, "--devices 0",
+                     "hilos: devices 0 must be in 1..16");
+    expectRejectedBy(BENCH_SERVING_PATH, "--max-batch 0",
+                     "serving: batch cap 0");
+    expectRejectedBy(BENCH_SERVING_PATH, "--requests 0",
+                     "requests 0 must be >= 1");
+    expectRejectedBy(BENCH_SERVING_PATH, "--rates 0.01,0",
+                     "arrivals: rate 0.000000 req/s");
+}
+
+TEST(BenchBoundary, FleetRejectsNegativeCounts)
+{
+    for (const char *option :
+         {"jobs", "hosts", "devices", "spares", "max-hosts",
+          "batch-per-host", "context", "output"}) {
+        const std::string args = std::string("--") + option + " -1";
+        const std::string diag = std::string(option) + " -1 must be >= 0";
+        expectRejectedBy(BENCH_FLEET_PATH, args.c_str(), diag.c_str());
+    }
+}
+
+TEST(BenchBoundary, UnknownNamesExitTwoNotAbort)
+{
+    expectRejectedBy(BENCH_SERVING_PATH, "--model NOPE",
+                     "fatal: unknown model: NOPE");
+    expectRejectedBy(BENCH_FLEET_PATH, "--policy nope",
+                     "fatal: unknown placement policy 'nope'");
+    expectRejectedBy(BENCH_FLEET_PATH, "--hosts 0",
+                     "fatal: invalid fleet config");
 }
 
 }  // namespace

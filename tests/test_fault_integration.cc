@@ -154,6 +154,40 @@ TEST(FaultIntegration, RetryFaultsReportedByAnalyticEngine)
     EXPECT_GT(r.breakdown.get("fault_retry"), 0.0);
 }
 
+// --- NVMe timeout/backoff through the analytic engine ---
+
+TEST(NvmeFaults, ZeroTimeoutProbabilityMatchesIdealExactly)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = makeRun();
+    const HilosEngine plain(sys, makeOpts(8));
+    const HilosEngine zero(sys,
+                           makeOpts(8, FaultPlan{}.addNvmeTimeout(0.0)));
+    const RunResult a = plain.run(run);
+    const RunResult b = zero.run(run);
+    EXPECT_EQ(a.decode_step_time, b.decode_step_time);
+    EXPECT_EQ(a.total_time, b.total_time);
+    EXPECT_EQ(b.breakdown.get("fault_retry"), 0.0);
+}
+
+TEST(NvmeFaults, TimeoutsShrinkBandwidthMonotonically)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = makeRun();
+    // alpha = 0 streams every KV slice over the NSP read path, where
+    // timeout recovery lands, so each added retry shows in throughput.
+    HilosOptions opts = makeOpts(8);
+    opts.alpha_override = 0.0;
+    double prev = HilosEngine(sys, opts).run(run).decodeThroughput();
+    for (double p : {1e-4, 1e-3, 1e-2}) {
+        opts.fault_plan = FaultPlan{}.addNvmeTimeout(p);
+        const RunResult r = HilosEngine(sys, opts).run(run);
+        ASSERT_TRUE(r.feasible);
+        EXPECT_LT(r.decodeThroughput(), prev);
+        prev = r.decodeThroughput();
+    }
+}
+
 // --- Mid-run device failure: graceful degradation ---
 
 TEST(FaultIntegration, MidRunFailureMatchesSurvivingFleetModel)
