@@ -16,6 +16,7 @@
  */
 
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -91,19 +92,30 @@ runBench(int argc, char **argv)
         return 2;
     }
 
+    // Every token of the list must parse as a number in full.
+    std::vector<std::string> diags;
     std::vector<double> rates;
     std::stringstream rate_list(args.get("rates"));
     std::string tok;
-    while (std::getline(rate_list, tok, ','))
-        if (!tok.empty())
-            rates.push_back(std::stod(tok));
-    check(!rates.empty(), "at least one arrival rate is required");
+    while (std::getline(rate_list, tok, ',')) {
+        if (tok.empty())
+            continue;
+        char *end = nullptr;
+        const double rate = std::strtod(tok.c_str(), &end);
+        if (end != tok.c_str() + tok.size())
+            diags.push_back("rates: '" + tok + "' is not a number");
+        else
+            rates.push_back(rate);
+    }
+    if (rates.empty() && diags.empty())
+        diags.push_back("rates: at least one arrival rate is required");
 
     ServingConfig base;
     base.model = modelByName(args.get("model"));
     base.max_batch = max_batch;
     base.slo = slo;
-    std::vector<std::string> diags = opts.validate();
+    for (const std::string &d : opts.validate())
+        diags.push_back(d);
     for (const std::string &d : base.validate())
         diags.push_back(d);
     if (requests == 0)

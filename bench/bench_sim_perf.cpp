@@ -8,8 +8,10 @@
  *     annotations in place;
  *  2. plan evaluation backends — analytic evaluatePlan and the
  *     event-driven simulatePlan over one HILOS decode plan, plus the
- *     Prefill-phase plan's build/evaluate cost and the deterministic
- *     chunked-prefill overhead ratio (4 chunks vs monolithic);
+ *     HilosEventSimulator's slice-level decode step (fault-free and
+ *     under a fault plan), the Prefill-phase plan's build/evaluate cost
+ *     and the deterministic chunked-prefill overhead ratio (4 chunks vs
+ *     monolithic);
  *  3. end-to-end sweep rate — cold (a fresh engine + run() per point)
  *     vs warm (runGrid, one engine and PlanCache per worker) on a
  *     Fig-10 style engine x batch x context grid, same binary.
@@ -40,6 +42,7 @@
 #include "core/hilos.h"
 #include "runtime/event_sim.h"
 #include "runtime/plan_cache.h"
+#include "sim/fault.h"
 
 using namespace hilos;
 
@@ -229,7 +232,37 @@ main(int argc, char **argv)
     report("simulate_plan_event", "us/plan",
            1e6 * event_sim / eval_plan_iters);
 
-    // --- 2b. Prefill-phase plans: build/evaluate cost + chunk ratio ---
+    // --- 2b. slice-level decode-step replay, fault-free and faulted ---
+    // The fleet's cross-check path: one HilosEventSimulator step streams
+    // 576 KV slices per layer over 64 layers at the headline config. The
+    // faulted plan adds the seeded per-slice NAND/NVMe draws, a failed
+    // device (its slices re-dispatched) and link/uplink derates.
+    const HilosEventSimulator step_sim(sys, HilosOptions{});
+    HilosOptions faulted_opts;
+    faulted_opts.fault_plan =
+        parseFaultPlan("seed=42;nand-err=1e-3;nvme-timeout=1e-4:2;"
+                       "degrade@1.0=0.5:3;uplink@1.5=0.8;fail@2.0=6");
+    const HilosEventSimulator faulted_sim(sys, faulted_opts);
+    const int step_iters = 10;
+    const double step = timeSeconds(
+        [&] {
+            for (int i = 0; i < step_iters; i++)
+                sink += step_sim.simulateDecodeStep(headline)
+                            .decode_step_time;
+        },
+        repeats);
+    const double faulted_step = timeSeconds(
+        [&] {
+            for (int i = 0; i < step_iters; i++)
+                sink += faulted_sim.simulateDecodeStep(headline, nullptr, 3.0)
+                            .decode_step_time;
+        },
+        repeats);
+    report("event_sim_decode_step", "us/step", 1e6 * step / step_iters);
+    report("event_sim_decode_step_faulted", "us/step",
+           1e6 * faulted_step / step_iters);
+
+    // --- 2c. Prefill-phase plans: build/evaluate cost + chunk ratio ---
     const double prefill_build = timeSeconds(
         [&] {
             for (int i = 0; i < eval_plan_iters; i++) {

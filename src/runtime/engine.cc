@@ -1,5 +1,8 @@
 #include "runtime/engine.h"
 
+#include <algorithm>
+#include <string>
+
 #include "common/logging.h"
 #include "runtime/plan_cache.h"
 
@@ -44,6 +47,15 @@ RunConfig::validate() const
         out.push_back("run: batch 0 must be >= 1");
     if (prefill_chunks < 1)
         out.push_back("run: prefill chunks 0 must be >= 1");
+    // A chunk carries at least one prompt token (a zero- or one-token
+    // prompt still takes its single monolithic pass).
+    const std::uint64_t max_chunks = std::max<std::uint64_t>(1, context_len);
+    if (prefill_chunks > max_chunks) {
+        out.push_back("run: prefill chunks " +
+                      std::to_string(prefill_chunks) + " must be <= " +
+                      std::to_string(max_chunks) +
+                      " (at most one chunk per prompt token)");
+    }
     return out;
 }
 

@@ -35,8 +35,9 @@ struct RunConfig {
     std::uint64_t prefill_chunks = 1;
 
     /**
-     * One named diagnostic per out-of-domain field (batch and
-     * prefill_chunks must be >= 1); empty when the run is well-formed.
+     * One named diagnostic per out-of-domain field (batch must be
+     * >= 1, prefill_chunks in 1..max(1, context_len)); empty when the
+     * run is well-formed.
      * Every plan-driven run asserts it.
      */
     std::vector<std::string> validate() const;

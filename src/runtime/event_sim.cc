@@ -11,6 +11,47 @@
 
 namespace hilos {
 
+namespace {
+
+/**
+ * One SmartSSD's share of the KV-slice stream: its internal P2P read
+ * path and its FPGA attention kernel, each a FIFO channel cut down to
+ * the state the slice loop reads. The arithmetic is BandwidthResource's
+ * (done = max(ready, busy_until) + service), with the per-slice service
+ * time priced once per step instead of once per slice.
+ */
+struct SliceLane {
+    Seconds p2p_service = 0.0;  ///< one slice read, latency included
+    Seconds p2p_free = 0.0;     ///< P2P link busy horizon
+    Seconds p2p_busy = 0.0;     ///< P2P read and stall time so far
+    Seconds fpga_free = 0.0;    ///< attention kernel busy horizon
+
+    /** Read one slice that becomes ready at `ready`. */
+    Seconds read(Seconds ready)
+    {
+        p2p_free = std::max(ready, p2p_free) + p2p_service;
+        p2p_busy += p2p_service;
+        return p2p_free;
+    }
+
+    /** Hold the P2P link for a recovery stall of `duration` > 0. */
+    Seconds stall(Seconds ready, Seconds duration)
+    {
+        p2p_free = std::max(ready, p2p_free) + duration;
+        p2p_busy += duration;
+        return p2p_free;
+    }
+
+    /** Run one slice through the kernel, `service` per slice. */
+    Seconds attend(Seconds ready, Seconds service)
+    {
+        fpga_free = std::max(ready, fpga_free) + service;
+        return fpga_free;
+    }
+};
+
+}  // namespace
+
 HilosEventSimulator::HilosEventSimulator(const SystemConfig &sys,
                                          const HilosOptions &opts)
     : sys_(sys), opts_(opts)
@@ -83,19 +124,6 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
                              sys_.chassis_uplink_bw * up_derate, usec(1));
     BandwidthResource gds("gds", analytic.gdsBw() * min_derate, usec(5));
     BandwidthResource host_link("host-pcie", sys_.host_pcie_bw, usec(1));
-    std::vector<BandwidthResource> internal;
-    std::vector<BandwidthResource> fpga;
-    const CycleModel cm{CycleModelConfig{}};
-    const Bandwidth kernel_rate = cm.kvBytesPerSec(s, d, d_group);
-    for (unsigned i = 0; i < N; i++) {
-        const double derate =
-            inj.active() ? inj.linkDerate(i, start_time) : 1.0;
-        internal.emplace_back("p2p" + std::to_string(i),
-                              sys_.smartssd.p2p_read_bw * derate,
-                              usec(80));
-        fpga.emplace_back("fpga" + std::to_string(i), kernel_rate,
-                          usec(10));
-    }
 
     // --- Static per-layer quantities ---
     const double weight_bytes = m.loadedWeightBytesPerLayer(b);
@@ -122,6 +150,40 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
         static_cast<double>(m.dtype_bytes);
     const double out_ret_bytes =
         static_cast<double>(b * m.hidden * m.dtype_bytes);
+
+    // Each device's P2P link and FPGA kernel: derates freeze at the
+    // step's start, so one slice's service times hold for the step.
+    const CycleModel cm{CycleModelConfig{}};
+    const Bandwidth kernel_rate = cm.kvBytesPerSec(s, d, d_group);
+    HILOS_ASSERT(kernel_rate > 0.0, "bandwidth must be positive: ",
+                 kernel_rate);
+    const Seconds fpga_service =
+        usec(10) + Bytes(static_cast<double>(slice_bytes)) / kernel_rate;
+    std::vector<SliceLane> lanes(N);
+    for (unsigned i = 0; i < N; i++) {
+        const double derate =
+            inj.active() ? inj.linkDerate(i, start_time) : 1.0;
+        const Bandwidth p2p_rate = sys_.smartssd.p2p_read_bw * derate;
+        HILOS_ASSERT(p2p_rate > 0.0, "bandwidth must be positive: ",
+                     p2p_rate);
+        lanes[i].p2p_service =
+            usec(80) + Bytes(static_cast<double>(slice_bytes)) / p2p_rate;
+    }
+
+    // Slices stripe round-robin over the fleet; one homed on a failed
+    // device re-dispatches round-robin onto the survivors. Every layer
+    // streams the same slices, so the map is built once per step.
+    std::vector<unsigned> slice_dev(slices);
+    std::uint64_t moved_per_layer = 0;
+    for (std::uint64_t sl = 0; sl < slices; sl++) {
+        const auto orig = static_cast<unsigned>(sl % N);
+        slice_dev[sl] = orig;
+        if (inj.active() && inj.deviceFailed(orig, start_time)) {
+            slice_dev[sl] = alive[sl % n_alive];
+            moved_per_layer++;
+        }
+    }
+    inj.noteRedispatch(moved_per_layer * L);
 
     Seconds wb_crit = 0.0;
     if (opts_.delayed_writeback) {
@@ -182,54 +244,42 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
                           qkv_done);
 
         // NSP portion: slices stream through each device's internal
-        // path into its accelerator. Slices homed on a failed device
-        // re-dispatch round-robin onto the survivors.
+        // path into its accelerator, in slice-major order (which fixes
+        // the order of the seeded recovery draws).
+        const Seconds slice_ready = std::max(layer_start, qkv_done);
         Seconds nsp_done = layer_start;
         for (std::uint64_t sl = 0; sl < slices; sl++) {
-            const auto orig = static_cast<unsigned>(sl % N);
-            unsigned dev = orig;
-            if (inj.active() && inj.deviceFailed(orig, start_time)) {
-                dev = alive[sl % n_alive];
-                inj.noteRedispatch();
-            }
-            Seconds read_done =
-                internal[dev].transfer(std::max(layer_start, qkv_done),
-                                       slice_bytes);
+            unsigned dev = slice_dev[sl];
+            Seconds read_done = lanes[dev].read(slice_ready);
             if (inj.active()) {
                 // ECC read-retry ladder on the NAND read, then the
                 // NVMe command's timeout/backoff outcome; an exhausted
                 // command re-issues the read on the next survivor.
                 const Seconds nand_pen = inj.nandReadPenalty(dev);
                 if (nand_pen > 0.0)
-                    read_done = internal[dev].occupy(read_done, nand_pen);
+                    read_done = lanes[dev].stall(read_done, nand_pen);
                 const FaultInjector::NvmeOutcome nvme =
                     inj.nvmeCommand(dev);
                 if (nvme.extra_latency > 0.0)
                     read_done =
-                        internal[dev].occupy(read_done,
-                                             nvme.extra_latency);
+                        lanes[dev].stall(read_done, nvme.extra_latency);
                 if (nvme.failed) {
-                    const unsigned alt =
-                        alive[(alive_idx[dev] + 1) % n_alive];
+                    dev = alive[(alive_idx[dev] + 1) % n_alive];
                     inj.noteRedispatch();
-                    read_done =
-                        internal[alt].transfer(read_done, slice_bytes);
-                    dev = alt;
+                    read_done = lanes[dev].read(read_done);
                 }
             }
             const Seconds kernel_done =
-                fpga[dev].transfer(read_done, slice_bytes);
+                lanes[dev].attend(read_done, fpga_service);
             if (trace != nullptr) {
                 const std::string at =
                     "/L" + std::to_string(l) + "/s" + std::to_string(sl);
-                trace->record(internal[dev].name(), "read" + at,
-                              read_done -
-                                  internal[dev].serviceTime(slice_bytes),
+                const std::string id = std::to_string(dev);
+                trace->record("p2p" + id, "read" + at,
+                              read_done - lanes[dev].p2p_service,
                               read_done);
-                trace->record(fpga[dev].name(), "attn" + at,
-                              kernel_done -
-                                  fpga[dev].serviceTime(slice_bytes),
-                              kernel_done);
+                trace->record("fpga" + id, "attn" + at,
+                              kernel_done - fpga_service, kernel_done);
             }
             nsp_done = std::max(nsp_done, kernel_done);
         }
@@ -281,8 +331,16 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
     // ratio (utilization() would assert if accounting ever drifted).
     res.gpu_utilization = gpu_busy / prev_done;
     double internal_busy = 0.0;
-    for (const auto &r : internal)
-        internal_busy += r.utilization(prev_done);
+    for (unsigned i = 0; i < N; i++) {
+        // A link busy past the step's end means the accounting drifted
+        // (the same >1 check as BandwidthResource::utilization).
+        const double util =
+            prev_done > 0.0 ? lanes[i].p2p_busy / prev_done : 0.0;
+        HILOS_ASSERT(util <= 1.0 + 1e-9, "utilization of 'p2p", i,
+                     "' exceeds 1: busy ", lanes[i].p2p_busy,
+                     " s over horizon ", prev_done, " s");
+        internal_busy += util;
+    }
     res.internal_utilization = internal_busy / static_cast<double>(N);
     if (inj.active()) {
         const FaultStats &st = inj.stats();

@@ -250,8 +250,11 @@ class FaultInjector
     /** Sorted finite times at which any timed event activates. */
     std::vector<Seconds> eventTimes() const;
 
-    /** Record one slice re-dispatched off a failed device. */
-    void noteRedispatch() { stats_.redispatched_slices++; }
+    /** Record `slices` slices re-dispatched off a failed device. */
+    void noteRedispatch(std::uint64_t slices = 1)
+    {
+        stats_.redispatched_slices += slices;
+    }
 
     const RetryPolicy &retryPolicy() const { return retry_; }
     const FaultStats &stats() const { return stats_; }

@@ -152,6 +152,12 @@ TEST(CliBoundary, OfflineRunRejectsOutOfDomainRunConfig)
     expectRejected("--batch 0", "run: batch 0");
     expectRejected("--engine flex-ssd --batch 0", "run: batch 0");
     expectRejected("--prefill-chunks 0", "run: prefill chunks 0");
+    // Bounded above by the prompt: a huge count used to run one
+    // empty chunk after another instead of being rejected.
+    expectRejected("--prefill-chunks 100000000",
+                   "run: prefill chunks 100000000 must be <= 32768");
+    expectRejected("--context 0 --prefill-chunks 2",
+                   "run: prefill chunks 2 must be <= 1");
 }
 
 TEST(CliBoundary, UnknownNamesExitTwoNotAbort)
@@ -192,7 +198,8 @@ TEST(CliBoundary, RejectsOutOfRangeCounts)
 
 TEST(CliBoundary, DegenerateLengthsStayLegal)
 {
-    for (const char *args : {"--context 0", "--context 1"})
+    for (const char *args :
+         {"--context 0", "--context 1", "--context 4 --prefill-chunks 4"})
         capture(std::string(HILOS_CLI_PATH) + " " + args + " 2>/dev/null");
 }
 
@@ -240,6 +247,17 @@ TEST(BenchBoundary, ServingRejectsOutOfDomainConfig)
                      "requests 0 must be >= 1");
     expectRejectedBy(BENCH_SERVING_PATH, "--rates 0.01,0",
                      "arrivals: rate 0.000000 req/s");
+}
+
+TEST(BenchBoundary, ServingRejectsMalformedRates)
+{
+    // Each comma-separated token must parse as a number in full.
+    expectRejectedBy(BENCH_SERVING_PATH, "--rates x",
+                     "rates: 'x' is not a number");
+    expectRejectedBy(BENCH_SERVING_PATH, "--rates 0.01,0.1x",
+                     "rates: '0.1x' is not a number");
+    expectRejectedBy(BENCH_SERVING_PATH, "--rates ,",
+                     "rates: at least one arrival rate is required");
 }
 
 TEST(BenchBoundary, FleetRejectsNegativeCounts)

@@ -116,6 +116,22 @@ TEST(EventSimAllocations, FaultedCountDoesNotGrowWithSlices)
     EXPECT_EQ(small, allocationsFor(sim, 64));
 }
 
+TEST(EventSimAllocations, ExhaustedCommandsDoNotAllocatePerSlice)
+{
+    // Heavy recovery: at these rates about one NVMe command in thirty
+    // exhausts its retries and re-issues its read on the next
+    // survivor, and device 2 is down from the start, so the per-step
+    // slice map re-homes an eighth of the slices. The map is one
+    // allocation per step whatever the slice count.
+    HilosOptions opts;
+    opts.fault_plan.addNandReadError(5e-2).addNvmeTimeout(0.5)
+        .addDeviceFailure(0.0, 2);
+    const HilosEventSimulator sim(defaultSystem(), opts);
+    allocationsFor(sim, 8);
+    const std::uint64_t small = allocationsFor(sim, 8);
+    EXPECT_EQ(small, allocationsFor(sim, 64));
+}
+
 TEST(EventSimAllocations, SliceLabelsPastTheSmallStringBufferAreNotBuilt)
 {
     // The checks above cannot see eagerly built labels at those sizes:

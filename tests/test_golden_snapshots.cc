@@ -110,6 +110,81 @@ TEST(GoldenSnapshots, EventSimTraceSummary)
     expectGolden("event_sim_trace_opt66b.txt", traceSummary(trace));
 }
 
+/** Every EventSimResult field and layer time as an exact hex float. */
+std::string
+hexBits(const EventSimResult &r)
+{
+    std::string out;
+    const auto line = [&out](const std::string &key, const char *fmt,
+                             auto value) {
+        char buf[96];
+        std::snprintf(buf, sizeof buf, fmt, value);
+        out += key + " = " + buf + "\n";
+    };
+    line("decode_step_time", "%a", r.decode_step_time.value());
+    line("uplink_utilization", "%a", r.uplink_utilization);
+    line("gds_utilization", "%a", r.gds_utilization);
+    line("internal_utilization", "%a", r.internal_utilization);
+    line("gpu_utilization", "%a", r.gpu_utilization);
+    line("mean_layer_time", "%a", r.mean_layer_time.value());
+    line("completed", "%d", static_cast<int>(r.completed));
+    line("note", "%s", r.note.empty() ? "<none>" : r.note.c_str());
+    line("devices_failed", "%u", r.devices_failed);
+    line("redispatched_slices", "%llu",
+         static_cast<unsigned long long>(r.redispatched_slices));
+    line("nand_read_errors", "%llu",
+         static_cast<unsigned long long>(r.nand_read_errors));
+    line("nvme_timeouts", "%llu",
+         static_cast<unsigned long long>(r.nvme_timeouts));
+    line("nvme_retries", "%llu",
+         static_cast<unsigned long long>(r.nvme_retries));
+    line("retry_time", "%a", r.retry_time.value());
+    for (std::size_t i = 0; i < r.layer_times.size(); i++)
+        line("layer_times[" + std::to_string(i) + "]", "%a",
+             r.layer_times[i].value());
+    return out;
+}
+
+TEST(GoldenSnapshots, EventSimDecodeStepBits)
+{
+    // The exact bits of a decode-step replay, fault-free and under each
+    // fault mechanism the slice loop prices: NAND/NVMe penalties with
+    // exhausted commands re-dispatched to the next survivor, a failed
+    // device plus a link derate, and every device-scope clause at once.
+    // A traced replay must return the same bits as an untraced one.
+    struct Case {
+        const char *name;
+        FaultPlan plan;
+        Seconds start;
+    };
+    FaultPlan derated;
+    derated.addDeviceFailure(0.0, 2).addLinkDegrade(0.0, 0.5, 5);
+    const Case cases[] = {
+        {"fault-free", FaultPlan{}, 0.0},
+        {"nand+nvme exhaustion",
+         FaultPlan{}.addNandReadError(5e-2).addNvmeTimeout(0.5), 0.0},
+        {"failed device + link derate", derated, 0.0},
+        {"kitchen sink",
+         parseFaultPlan("seed=42;nand-err=1e-3;nvme-timeout=1e-4:2;"
+                        "degrade@1.0=0.5:3;uplink@1.5=0.8;fail@2.0=6"),
+         3.0},
+    };
+    std::string out;
+    for (const Case &c : cases) {
+        HilosOptions opts;
+        opts.fault_plan = c.plan;
+        const HilosEventSimulator sim(defaultSystem(), opts);
+        const std::string bits = hexBits(
+            sim.simulateDecodeStep(headlineRun(), nullptr, c.start));
+        TraceRecorder trace;
+        EXPECT_EQ(bits, hexBits(sim.simulateDecodeStep(headlineRun(),
+                                                       &trace, c.start)))
+            << c.name;
+        out += std::string("[") + c.name + "]\n" + bits;
+    }
+    expectGolden("event_sim_step_bits_opt66b.txt", out);
+}
+
 TEST(GoldenSnapshots, StepPlanAllEnginesOpt66b)
 {
     // The canonical StepPlan each engine emits for the headline
