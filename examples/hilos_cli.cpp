@@ -511,6 +511,8 @@ runCli(int argc, char **argv)
             std::cerr << "error: empty arrival stream\n";
             return 2;
         }
+        if (!reportDiagnostics(scfg.validateStream(stream)))
+            return 2;
         const ServingSimulator sim(*engine, scfg);
         const ServingResult sr = sim.run(stream);
         printServingReport(engine->name(), scfg, sr);

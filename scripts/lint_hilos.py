@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint invariants for the HILOS simulator.
 
-Eight checks, each guarding a convention the test suite cannot express
+Nine checks, each guarding a convention the test suite cannot express
 as a compile error (those live in tests/compile_fail/):
 
  1. quantity-typed public APIs: headers under src/ must not declare
@@ -47,9 +47,20 @@ as a compile error (those live in tests/compile_fail/):
     the #include closure of the shipped programs (bench/, examples/,
     perfbench/src/). Reaching x.h also reaches x.cc. A source file that
     only its own test builds is dead weight: wire it into a result or
-    delete it. The check sees files, not classes — an unused class
-    inside a reachable file passes.
+    delete it.
 
+ 9. no test-only functions: every function and class name a
+    src/**/*.h declares must be named by some non-test file (src/,
+    bench/, examples/, perfbench/src/) outside its own declarations and
+    out-of-line definitions (a column-0 line that defines the name).
+    The scan is by name: a name shared with something that is used
+    passes. A declaration that tests alone call stays only with a
+    one-line marker on or directly above it that gives the reason:
+    `// lint: reference` (tests compare production against it) or
+    `// lint: test-hook` (tests switch a production setting with it).
+    tests/lint/test_lint_hilos.py runs this check on a fixture tree.
+
+Usage: lint_hilos.py [--root DIR] (DIR defaults to the repository).
 Exits non-zero listing file:line for every violation. No third-party
 imports; runs anywhere a python3 exists (CI and the ctest fast lane).
 """
@@ -337,13 +348,12 @@ def check_analyzer_diag_ids(violations):
 
 INCLUDE_LINE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 PROGRAM_DIRS = ("bench", "examples", "perfbench/src")
-# Quoted includes resolve against the including file's directory, then
-# these roots (the include paths the CMake targets export).
-INCLUDE_ROOTS = (ROOT / "src", ROOT / "tests")
 
 
 def resolve_include(name, including_dir):
-    for base in (including_dir,) + INCLUDE_ROOTS:
+    # The including file's directory, then the include paths the CMake
+    # targets export.
+    for base in (including_dir, ROOT / "src", ROOT / "tests"):
         candidate = (base / name).resolve()
         if candidate.is_file():
             return candidate
@@ -383,7 +393,170 @@ def check_src_reachability(violations):
             )
 
 
-def main():
+# --- check 9: every function and class a src/ header declares has a caller --
+
+# A declaration line: optional specifiers, a return type, then the name
+# and its opening parenthesis. Split declarations (return type on the
+# line above, name at the start of the next) are matched separately.
+FUNC_DECL = re.compile(
+    r"^\s*(?:template\s*<.*>\s*)?"
+    r"((?:[A-Za-z_][\w:]*(?:\s*<.*>)?[\s\*&]+)+)"
+    r"([A-Za-z_]\w*)\s*\(")
+SPLIT_DECL = re.compile(r"^\s*([A-Za-z_]\w*)\s*\(")
+TYPE_TAIL = re.compile(r"[\w>\*&]\s*$")
+CLASS_DECL = re.compile(r"^\s*(?:class|struct)\s+([A-Za-z_]\w*)\s*(?:[:{]|$)")
+# A constructor or destructor declared inside its class.
+SPECIAL_MEMBER = re.compile(r"^\s*(?:explicit\s+|constexpr\s+)*~?(\w+)\s*\(")
+NOT_A_TYPE = {
+    "return", "else", "case", "new", "delete", "throw", "goto", "using",
+    "typedef", "namespace", "explicit", "operator", "co_return", "sizeof",
+    "if", "for", "while", "switch", "do",
+}
+NOT_A_NAME = NOT_A_TYPE | {
+    "static_assert", "decltype", "alignof", "alignas",
+    "noexcept", "requires", "defined", "main",
+}
+# A kept declaration names its reason on a comment line above it (or on
+# the declaration line): tests compare production against a reference,
+# or a test hook switches a production setting.
+KEEP_MARKER = re.compile(r"//\s*lint:\s*(reference|test-hook)\b")
+CODE_DIRS = ("src",) + PROGRAM_DIRS
+IDENT = re.compile(r"[A-Za-z_]\w*")
+
+
+def strip_code(text):
+    """Comments, string and char literals blanked; line structure kept."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            i = n if j < 0 else j
+        elif text.startswith("/*", i):
+            j = text.find("*/", i + 2)
+            j = n if j < 0 else j + 2
+            out.append("\n" * text.count("\n", i, j))
+            i = j
+        elif c == '"' or (c == "'" and not (i and text[i - 1].isalnum())):
+            # A quote after a digit is a separator (1'000), not a char.
+            j = i + 1
+            while j < n and text[j] != c and text[j] != "\n":
+                j += 2 if text[j] == "\\" else 1
+            out.append(c + c)
+            i = j + 1
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out).splitlines()
+
+
+def header_declarations(raw_lines, code_lines):
+    """Yields (lineno, name, kept) for each declaration in one header."""
+    classes = set()
+    for idx, code in enumerate(code_lines):
+        if code.lstrip().startswith("#"):
+            continue
+        names = []
+        match = FUNC_DECL.match(code)
+        if match:
+            type_words = match.group(1).split()
+            if not set(type_words) & NOT_A_TYPE:
+                names.append(match.group(2))
+        else:
+            match = SPLIT_DECL.match(code)
+            prev = code_lines[idx - 1].rstrip() if idx else ""
+            if (match and TYPE_TAIL.search(prev)
+                    and not set(prev.split()) & NOT_A_TYPE):
+                names.append(match.group(1))
+        match = CLASS_DECL.match(code)
+        if match:
+            names.append(match.group(1))
+            classes.add(match.group(1))
+        match = SPECIAL_MEMBER.match(code)
+        if match and match.group(1) in classes:
+            names.append(match.group(1))
+        for name in names:
+            if name in NOT_A_NAME:
+                continue
+            yield idx + 1, name, declaration_marked(raw_lines, code_lines,
+                                                    idx)
+
+
+def declaration_marked(raw_lines, code_lines, idx):
+    """A keep marker on the declaration line or the comment block and
+    split return type directly above it."""
+    j = idx
+    while j >= 0:
+        if KEEP_MARKER.search(raw_lines[j]):
+            return True
+        if j < idx:
+            code = code_lines[j].strip()
+            if not raw_lines[j].strip() or code.endswith((";", "{", "}")):
+                return False
+        j -= 1
+    return False
+
+
+# An out-of-line definition starts in column 0: return type, then the
+# qualified name. The qualifiers and the name are the definition; the
+# return type and the parameters still name what they use.
+DEFINITION = re.compile(
+    r"^(?:[^\s=;(][^=;(]*[\s\*&])?(?P<name>(?:\w+::)*~?\w+)\s*\(")
+
+
+def used_identifiers(code):
+    match = DEFINITION.match(code)
+    if match:
+        code = code[:match.start("name")] + code[match.end("name"):]
+    return set(IDENT.findall(code))
+
+
+def check_member_reachability(violations):
+    declared = {}   # name -> [(rel, lineno, kept)]
+    sources = {}    # rel -> code lines, for every non-test source file
+    for base in CODE_DIRS:
+        for path in sorted((ROOT / base).rglob("*")):
+            if path.suffix not in (".h", ".cc", ".cpp"):
+                continue
+            rel = path.relative_to(ROOT)
+            raw = path.read_text()
+            sources[rel] = strip_code(raw)
+            if base == "src" and path.suffix == ".h":
+                for lineno, name, kept in header_declarations(
+                        raw.splitlines(), sources[rel]):
+                    declared.setdefault(name, []).append(
+                        (rel, lineno, kept))
+    used = set()
+    for rel, lines in sources.items():
+        for lineno, code in enumerate(lines, 1):
+            if code.lstrip().startswith("#include"):
+                continue
+            for name in used_identifiers(code) & declared.keys():
+                if name in used:
+                    continue
+                if any(site[:2] == (rel, lineno)
+                       for site in declared[name]):
+                    continue
+                used.add(name)
+    for name in sorted(declared.keys() - used):
+        sites = declared[name]
+        if any(kept for _, _, kept in sites):
+            continue
+        for rel, lineno, _ in sites:
+            violations.append(
+                f"{rel}:{lineno}: '{name}' has no caller outside tests; "
+                f"delete it or mark it '// lint: reference' or "
+                f"'// lint: test-hook'")
+
+
+def main(argv):
+    global ROOT
+    if len(argv) == 2 and argv[0] == "--root":
+        ROOT = pathlib.Path(argv[1]).resolve()
+    elif argv:
+        print("usage: lint_hilos.py [--root DIR]", file=sys.stderr)
+        return 2
     violations = []
     check_quantity_types(violations)
     check_golden_format(violations)
@@ -393,6 +566,7 @@ def main():
     check_external_determinism(violations)
     check_analyzer_diag_ids(violations)
     check_src_reachability(violations)
+    check_member_reachability(violations)
     if violations:
         print(f"lint_hilos: {len(violations)} violation(s)")
         for v in violations:
@@ -403,4 +577,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -102,8 +102,6 @@ class AttentionKernel
     /** Padded sequence length (zero-pad to burst multiples, §5.4). */
     std::size_t paddedLength(std::size_t s) const;
 
-    const AttentionKernelConfig &config() const { return cfg_; }
-
   private:
     AttentionKernelConfig cfg_;
     TwoPassSoftmax softmax_;

@@ -14,7 +14,6 @@
 #define HILOS_ACCEL_CYCLE_MODEL_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/units.h"
 
@@ -42,8 +41,6 @@ struct CycleBreakdown {
 
     /** The binding constraint in cycles per invocation. */
     Cycles bottleneckCycles() const;
-    /** Name of the binding unit ("dram", "qk_gemv", ...). */
-    std::string bottleneckName() const;
 };
 
 /**
@@ -79,8 +76,6 @@ class CycleModel
     /** DRAM traffic in bytes for one invocation (incl. score traffic). */
     Bytes dramTrafficBytes(std::size_t s, std::size_t d,
                            std::size_t d_group) const;
-
-    const CycleModelConfig &config() const { return cfg_; }
 
   private:
     std::size_t paddedLen(std::size_t s) const;

@@ -49,8 +49,6 @@ class KernelSimulator
     Seconds simulate(std::size_t s, std::size_t d,
                      std::size_t d_group) const;
 
-    const KernelSimConfig &config() const { return cfg_; }
-
   private:
     KernelSimConfig cfg_;
 };

@@ -14,16 +14,12 @@
  * vectorises across independent output lanes, keeping each lane's
  * operation sequence exactly the scalar one, and relies on VCVTPH2PS
  * being the same exact widening as Half::halfToFloat (both are checked
- * by differential tests, the conversion exhaustively over all 65536
- * half patterns).
+ * by differential tests, the conversion over every non-NaN half pattern
+ * through svGemv).
  */
 
 #ifndef HILOS_ACCEL_SIMD_H_
 #define HILOS_ACCEL_SIMD_H_
-
-#include <cstddef>
-
-#include "common/half.h"
 
 namespace hilos {
 
@@ -50,14 +46,8 @@ SimdLevel activeSimdLevel();
  * check; benches measure each tier in one process). Asserts the level
  * is supported. Not thread-safe against concurrently running kernels.
  */
+// lint: test-hook (differential tests pin each tier)
 void setSimdLevel(SimdLevel level);
-
-/**
- * Batch F16C widening: out[i] = float(in[i]) via VCVTPH2PS, any n.
- * Only callable when Avx2 is supported; exists so tests can compare
- * the hardware conversion against Half::halfToFloat exhaustively.
- */
-void cvtHalfToFloatAvx2(const Half *in, float *out, std::size_t n);
 
 }  // namespace hilos
 

@@ -119,18 +119,6 @@ Half::halfToFloat(std::uint16_t bits)
     return bitsToFloat(sign | (exp32 << 23) | (mant << 13));
 }
 
-bool
-Half::isNan() const
-{
-    return ((bits_ >> 10) & 0x1f) == 0x1f && (bits_ & 0x3ff) != 0;
-}
-
-bool
-Half::isInf() const
-{
-    return ((bits_ >> 10) & 0x1f) == 0x1f && (bits_ & 0x3ff) == 0;
-}
-
 std::ostream &
 operator<<(std::ostream &os, const Half &h)
 {

@@ -30,15 +30,6 @@ class Half
     /** Convert from float with round-to-nearest-even. */
     explicit Half(float value) : bits_(fromFloat(value)) {}
 
-    /** Reinterpret raw binary16 bits. */
-    static constexpr Half
-    fromBits(std::uint16_t bits)
-    {
-        Half h;
-        h.bits_ = bits;
-        return h;
-    }
-
     /** Raw binary16 bits. */
     constexpr std::uint16_t bits() const { return bits_; }
 
@@ -47,11 +38,6 @@ class Half
 
     /** Implicit widening, mirroring hardware FP16->FP32 promotion. */
     operator float() const { return toFloat(); }
-
-    /** True if this encodes a NaN. */
-    bool isNan() const;
-    /** True if this encodes +/-infinity. */
-    bool isInf() const;
 
     /** Bitwise equality (distinguishes +0 from -0; NaN == NaN). */
     constexpr bool
@@ -64,13 +50,6 @@ class Half
     {
         return bits_ != other.bits_;
     }
-
-    /** Largest finite binary16 value (65504). */
-    static constexpr Half max() { return fromBits(0x7bff); }
-    /** Smallest positive normal binary16 value (2^-14). */
-    static constexpr Half minNormal() { return fromBits(0x0400); }
-    /** Positive infinity. */
-    static constexpr Half infinity() { return fromBits(0x7c00); }
 
     /** Round-to-nearest-even float -> binary16 bits. */
     static std::uint16_t fromFloat(float value);

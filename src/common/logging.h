@@ -23,9 +23,11 @@ enum class LogLevel {
 };
 
 /** Set the global verbosity. Thread-compatible, not thread-safe. */
+// lint: test-hook (tests switch the verbosity and restore it)
 void setLogLevel(LogLevel level);
 
 /** Current global verbosity. */
+// lint: test-hook (tests save the verbosity they restore)
 LogLevel logLevel();
 
 namespace detail {

@@ -466,6 +466,7 @@ msec(double x)
 }
 
 /** Megahertz to Hertz. */
+// lint: reference (quantity algebra pinned by the unit tests)
 constexpr Hertz
 mhz(double x)
 {
@@ -477,6 +478,7 @@ mhz(double x)
  * used to be an inline `1.0 / freq` (whose quantity-algebra result is
  * seconds-per-cycle, not Seconds).
  */
+// lint: reference (quantity algebra pinned by the compile-fail tests)
 constexpr Seconds
 sec(Hertz f)
 {
@@ -484,6 +486,7 @@ sec(Hertz f)
 }
 
 /** Frequency whose single-cycle period is `period` (inverse of sec()). */
+// lint: reference (quantity algebra pinned by the unit tests)
 constexpr Hertz
 hz(Seconds period)
 {

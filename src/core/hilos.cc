@@ -6,12 +6,6 @@
 
 namespace hilos {
 
-const char *
-versionString()
-{
-    return "1.0.0";
-}
-
 std::unique_ptr<InferenceEngine>
 makeEngine(EngineKind kind, const SystemConfig &sys,
            const HilosOptions &hilos_opts)

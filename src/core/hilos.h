@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "core/version.h"
 #include "llm/model_config.h"
 #include "runtime/deepspeed_uvm.h"
 #include "runtime/engine.h"

@@ -48,8 +48,6 @@ class Cpu
     /** Compute-bound time. */
     Seconds computeTime(Flops flops) const;
 
-    const CpuConfig &config() const { return cfg_; }
-
   private:
     CpuConfig cfg_;
 };

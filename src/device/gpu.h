@@ -56,8 +56,6 @@ class Gpu
     /** True if `bytes` of state fit in device memory. */
     bool fits(Bytes bytes) const;
 
-    const GpuConfig &config() const { return cfg_; }
-
   private:
     GpuConfig cfg_;
 };

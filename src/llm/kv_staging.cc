@@ -30,7 +30,6 @@ WritebackBuffer::append(std::size_t slice, const Half *k, const Half *v)
         chunk.k_data = std::move(k_buf_[slice]);
         chunk.v_data = std::move(v_buf_[slice]);
         pending_.push_back(std::move(chunk));
-        total_spills_++;
         k_buf_[slice].clear();
         v_buf_[slice].clear();
         return true;

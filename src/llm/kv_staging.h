@@ -76,10 +76,6 @@ class WritebackBuffer
     /** Drain queued spill chunks (caller forwards them to storage). */
     std::vector<SpillChunk> takeSpills();
 
-    /** Spills produced so far. */
-    std::uint64_t totalSpills() const { return total_spills_; }
-
-    std::size_t spillInterval() const { return spill_interval_; }
     std::size_t headDim() const { return head_dim_; }
     std::size_t slices() const { return k_buf_.size(); }
 
@@ -89,7 +85,6 @@ class WritebackBuffer
     std::vector<std::vector<Half>> k_buf_;
     std::vector<std::vector<Half>> v_buf_;
     std::vector<SpillChunk> pending_;
-    std::uint64_t total_spills_ = 0;
 };
 
 

@@ -17,8 +17,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "llm/tensor.h"
-
 namespace hilos {
 
 /**
@@ -43,17 +41,7 @@ class RopeTable
      */
     void apply(float *vec, std::size_t pos) const;
 
-    /** Rotate every row of a (rows x d) matrix, row i at `pos0 + i`. */
-    void applyRows(Matrix &m, std::size_t pos0 = 0) const;
-
     std::size_t headDim() const { return head_dim_; }
-    std::size_t maxPos() const { return max_pos_; }
-
-    /** Table bytes (the caching cost; tiny next to the KV cache). */
-    std::size_t tableBytes() const
-    {
-        return 2 * sin_.size() * sizeof(float);
-    }
 
   private:
     std::size_t head_dim_;

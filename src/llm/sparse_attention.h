@@ -62,8 +62,6 @@ class SparseAttention
      */
     float quantize(float v, float stddev) const;
 
-    const SparseAttentionConfig &config() const { return cfg_; }
-
   private:
     SparseAttentionConfig cfg_;
 };

@@ -93,9 +93,6 @@ class TransformerLayer
      */
     Matrix decode(const Matrix &x, AttentionPath path);
 
-    /** Current context length (same for every path). */
-    std::size_t contextLen() const { return positions_; }
-
     const LayerShape &shape() const { return shape_; }
 
     /** Entries currently staged in the writeback buffer (slice 0). */
@@ -175,7 +172,6 @@ class TransformerModel
     std::vector<std::vector<std::uint32_t>> generate(std::size_t n,
                                                      AttentionPath path);
 
-    std::size_t contextLen() const { return layers_.front().contextLen(); }
     std::size_t vocab() const { return vocab_; }
 
   private:

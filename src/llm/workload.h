@@ -62,8 +62,6 @@ struct NeedleTask {
     Matrix keys;                       ///< s x d keys
     Matrix values;                     ///< s x d values
     std::vector<std::size_t> needles;  ///< planted relevant indices
-
-    std::size_t contextLen() const { return keys.rows(); }
 };
 
 /** Parameters of the needle-retrieval generator. */

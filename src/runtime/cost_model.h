@@ -82,6 +82,7 @@ Seconds gpuAttentionTime(const Gpu &gpu, const ModelConfig &model,
  * GPU compute time of prefilling one layer: projections/MLP GEMMs over
  * `context` tokens plus FlashAttention over the prompt.
  */
+// lint: reference (tests check a one-chunk prefill costs exactly this)
 Seconds prefillComputeTime(const Gpu &gpu, const ModelConfig &model,
                            std::uint64_t batch, std::uint64_t context);
 

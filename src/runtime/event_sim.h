@@ -87,6 +87,7 @@ class HilosEventSimulator
      * `start_time` apply; a fully failed fleet raises a fatal error.
      * @return total prefill time
      */
+    // lint: reference (tests compare the analytic prefill time to it)
     Seconds simulatePrefill(const RunConfig &cfg,
                             std::size_t chunk_tokens = 4096,
                             TraceRecorder *trace = nullptr,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 
 #include "common/logging.h"
@@ -213,13 +212,6 @@ FleetEngine::runCached(const RunConfig &cfg, PlanCache &) const
     res.faults = ideal_host.faults;
 
     const std::vector<Seconds> events = view.eventTimes();
-    const auto nextEventAfter = [&](Seconds t) -> Seconds {
-        for (const Seconds ev : events) {
-            if (ev > t + 1e-12)
-                return ev;
-        }
-        return std::numeric_limits<Seconds>::infinity();
-    };
 
     Seconds now = res.prefill_time;
     std::uint64_t remaining = cfg.output_len;
@@ -307,7 +299,7 @@ FleetEngine::runCached(const RunConfig &cfg, PlanCache &) const
         if (serving_alive == 0) {
             // Every alive host is stalled: decode pauses until the
             // next fleet event (a stall window always ends).
-            const Seconds next_ev = nextEventAfter(now);
+            const Seconds next_ev = nextEventAfter(events, now);
             HILOS_ASSERT(std::isfinite(next_ev),
                          "stalled fleet with no recovery event");
             now = next_ev;
@@ -350,14 +342,7 @@ FleetEngine::runCached(const RunConfig &cfg, PlanCache &) const
         const Seconds step = hr.decode_step_time + coord;
         HILOS_ASSERT(step > 0.0, "fleet decode step must be positive");
 
-        const Seconds next_ev = nextEventAfter(now);
-        std::uint64_t tokens = remaining;
-        if (std::isfinite(next_ev)) {
-            const double span = (next_ev - now) / step;
-            const auto fit = static_cast<std::uint64_t>(std::ceil(span));
-            tokens =
-                std::min(remaining, std::max<std::uint64_t>(1, fit));
-        }
+        const std::uint64_t tokens = epochTokens(events, now, step, remaining);
         const double w = static_cast<double>(tokens) / out_tokens;
 
         RunResult er = hr;

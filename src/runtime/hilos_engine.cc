@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "accel/cycle_model.h"
 #include "accel/resource_model.h"
@@ -738,20 +737,7 @@ HilosEngine::runWithFaults(const RunConfig &cfg) const
         HILOS_ASSERT(step > 0.0, "degraded decode step must be positive");
 
         // Tokens until the next timed event flips conditions.
-        Seconds next_ev = std::numeric_limits<Seconds>::infinity();
-        for (const Seconds ev : events) {
-            if (ev > now + 1e-12) {
-                next_ev = ev;
-                break;
-            }
-        }
-        std::uint64_t tokens = remaining;
-        if (std::isfinite(next_ev)) {
-            const double span = (next_ev - now) / step;
-            const auto fit = static_cast<std::uint64_t>(std::ceil(span));
-            tokens = std::min(remaining,
-                              std::max<std::uint64_t>(1, fit));
-        }
+        const std::uint64_t tokens = epochTokens(events, now, step, remaining);
 
         const double w = static_cast<double>(tokens) / out_tokens;
         accumulateWeighted(res, r, w);

@@ -81,8 +81,6 @@ class HilosEngine : public StepPlanSource
     /** The scheduler-selected alpha for a given workload shape. */
     double selectedAlpha(const RunConfig &cfg) const;
 
-    const HilosOptions &options() const { return opts_; }
-
   protected:
     /** The zero-fault (ideal-fleet) decode-step plan. */
     void makePlan(const RunConfig &cfg, RunResult &res,

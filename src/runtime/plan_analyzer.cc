@@ -510,15 +510,6 @@ parsePlanWaivers(const std::string &text, std::vector<std::string> *problems)
     return waivers;
 }
 
-std::string
-formatPlanWaivers(const std::vector<PlanWaiver> &waivers)
-{
-    std::string out;
-    for (const PlanWaiver &w : waivers)
-        out += w.id + " " + w.op + "\n";
-    return out;
-}
-
 void
 applyPlanWaivers(PlanAnalysis &analysis,
                  const std::vector<PlanWaiver> &waivers)

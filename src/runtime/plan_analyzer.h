@@ -64,6 +64,7 @@ struct AnalyzerPassInfo {
 };
 
 /** The pass catalog, in ID order. */
+// lint: test-hook (tests pin each pass's stable ID and severity)
 const std::vector<AnalyzerPassInfo> &analyzerPasses();
 
 /** Everything one analysis produces. */
@@ -102,9 +103,6 @@ struct PlanWaiver {
  */
 std::vector<PlanWaiver> parsePlanWaivers(const std::string &text,
                                          std::vector<std::string> *problems);
-
-/** Canonical one-per-line rendering; parse(format(w)) round-trips. */
-std::string formatPlanWaivers(const std::vector<PlanWaiver> &waivers);
 
 /** Mark findings matched by a waiver (same ID, op label or "*"). */
 void applyPlanWaivers(PlanAnalysis &analysis,

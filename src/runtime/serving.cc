@@ -213,6 +213,24 @@ ServingConfig::validate() const
     return out;
 }
 
+std::vector<std::string>
+ServingConfig::validateStream(const std::vector<Request> &requests) const
+{
+    std::vector<std::string> out;
+    std::uint64_t longest = 0;
+    for (const Request &r : requests)
+        longest = std::max(longest, r.input_tokens);
+    const std::uint64_t max_chunks =
+        std::max<std::uint64_t>(1, roundUp(longest, bucket_quantum));
+    if (prefill_chunks > max_chunks) {
+        out.push_back("serving: prefill chunks " +
+                      std::to_string(prefill_chunks) + " must be <= " +
+                      std::to_string(max_chunks) +
+                      " (the stream's longest bucket-padded prompt)");
+    }
+    return out;
+}
+
 ServingSimulator::ServingSimulator(const InferenceEngine &engine,
                                    ServingConfig cfg)
     : engine_(engine), cfg_(std::move(cfg))
@@ -225,6 +243,8 @@ ServingResult
 ServingSimulator::run(const std::vector<Request> &requests) const
 {
     HILOS_ASSERT(!requests.empty(), "nothing to serve");
+    const std::vector<std::string> diags = cfg_.validateStream(requests);
+    HILOS_ASSERT(diags.empty(), "invalid serving stream: ", diags.front());
     ServingResult res;
     res.requests = requests.size();
     StepCostModel cost(engine_, cfg_);

@@ -76,6 +76,15 @@ struct ServingConfig {
      * finite and >= 0. ServingSimulator construction is gated on it.
      */
     std::vector<std::string> validate() const;
+
+    /**
+     * Checks that depend on the stream as well (empty = valid; call
+     * once validate() passes): prefill chunks at most the longest
+     * bucket-padded prompt, so no chunk is left without a token.
+     * ServingSimulator::run is gated on it.
+     */
+    std::vector<std::string> validateStream(
+        const std::vector<Request> &requests) const;
 };
 
 /** Per-request lifecycle timestamps of one serving run. */
@@ -165,8 +174,6 @@ class ServingSimulator
      * `feasible == false` and the reason in `note`.
      */
     ServingResult run(const std::vector<Request> &requests) const;
-
-    const ServingConfig &config() const { return cfg_; }
 
   private:
     const InferenceEngine &engine_;

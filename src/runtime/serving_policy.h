@@ -56,6 +56,7 @@ bool admitsBefore(ServingPolicy policy, const AdmissionCandidate &a,
                   const AdmissionCandidate &b);
 
 /** Sort `pending` into admission order (by `admitsBefore`). */
+// lint: reference (tests pin each policy's admission order with it)
 void orderForAdmission(ServingPolicy policy,
                        std::vector<AdmissionCandidate> &pending);
 

@@ -133,18 +133,4 @@ parseArrivalTrace(const std::string &text)
     return out;
 }
 
-std::string
-formatArrivalTrace(const std::vector<Request> &requests)
-{
-    std::ostringstream oss;
-    oss << "# arrival_seconds input_tokens output_tokens\n";
-    for (const Request &r : requests) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.9g", r.arrival.value());
-        oss << buf << " " << r.input_tokens << " " << r.output_tokens
-            << "\n";
-    }
-    return oss.str();
-}
-
 }  // namespace hilos

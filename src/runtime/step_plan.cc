@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "runtime/plan_analyzer.h"
@@ -227,28 +228,6 @@ StepOpArray::operator[](std::size_t i) const
     return v;
 }
 
-StepOp
-StepOpArray::get(std::size_t i) const
-{
-    const StepOpView v = (*this)[i];
-    StepOp op;
-    op.op_kind = v.op_kind;
-    op.resource = v.resource;
-    op.unit = v.unit;
-    op.seconds = v.seconds;
-    op.bytes = v.bytes;
-    op.fanout = v.fanout;
-    op.label = std::string(v.label);
-    op.stage = std::string(v.stage);
-    op.busy = v.busy;
-    op.prefetch = v.prefetch;
-    op.shadow = v.shadow;
-    op.offline = v.offline;
-    op.traffic.assign(v.traffic.begin(), v.traffic.end());
-    op.deps.assign(v.deps.begin(), v.deps.end());
-    return op;
-}
-
 void
 StepOpArray::push(const StepOp &op)
 {
@@ -272,45 +251,6 @@ StepOpArray::push(const StepOp &op)
     for (const TrafficShare &s : op.traffic)
         traffic_pool_.push_back(s);
     traffic_.push_back(t);
-}
-
-void
-StepOpArray::set(std::size_t i, const StepOp &op)
-{
-    HILOS_ASSERT(i < size(), "step-op index out of range: ", i);
-    kind_[i] = static_cast<std::uint8_t>(op.op_kind);
-    resource_[i] = static_cast<std::uint8_t>(op.resource);
-    unit_[i] = static_cast<std::uint8_t>(op.unit);
-    flags_[i] = packFlags(op);
-    busy_[i] = op.busy;
-    seconds_[i] = op.seconds;
-    bytes_[i] = op.bytes;
-    fanout_[i] = op.fanout;
-    if (arenaView(label_[i]) != op.label)
-        label_[i] = intern(op.label);
-    if (arenaView(stage_[i]) != op.stage)
-        stage_[i] = intern(op.stage);
-    if (deps_[i].len == op.deps.size()) {
-        for (std::size_t k = 0; k < op.deps.size(); ++k)
-            dep_pool_[deps_[i].pos + k] =
-                static_cast<std::uint32_t>(op.deps[k]);
-    } else {
-        Span d{static_cast<std::uint32_t>(dep_pool_.size()),
-               static_cast<std::uint32_t>(op.deps.size())};
-        for (const std::size_t dep : op.deps)
-            dep_pool_.push_back(static_cast<std::uint32_t>(dep));
-        deps_[i] = d;
-    }
-    if (traffic_[i].len == op.traffic.size()) {
-        for (std::size_t k = 0; k < op.traffic.size(); ++k)
-            traffic_pool_[traffic_[i].pos + k] = op.traffic[k];
-    } else {
-        Span t{static_cast<std::uint32_t>(traffic_pool_.size()),
-               static_cast<std::uint32_t>(op.traffic.size())};
-        for (const TrafficShare &s : op.traffic)
-            traffic_pool_.push_back(s);
-        traffic_[i] = t;
-    }
 }
 
 void
@@ -1057,6 +997,28 @@ StepPlanSource::prefillStepPlan(const RunConfig &cfg,
     StepPlan plan;
     makePrefillPlan(cfg, chunk_index, chunk_count, plan);
     return plan;
+}
+
+Seconds
+nextEventAfter(const std::vector<Seconds> &events, Seconds now)
+{
+    for (const Seconds ev : events) {
+        if (ev > now + 1e-12)
+            return ev;
+    }
+    return std::numeric_limits<Seconds>::infinity();
+}
+
+std::uint64_t
+epochTokens(const std::vector<Seconds> &events, Seconds now, Seconds step,
+            std::uint64_t remaining)
+{
+    const Seconds next_ev = nextEventAfter(events, now);
+    if (!std::isfinite(next_ev))
+        return remaining;
+    const double span = (next_ev - now) / step;
+    const auto fit = static_cast<std::uint64_t>(std::ceil(span));
+    return std::min(remaining, std::max<std::uint64_t>(1, fit));
 }
 
 void

@@ -109,6 +109,7 @@ enum class TrafficField : std::uint8_t {
 };
 
 /** Stable field name for serialisation. */
+// lint: reference (the golden serializer names traffic fields with it)
 const char *trafficFieldName(TrafficField f);
 
 /** Which phase of a run a plan describes. */
@@ -225,18 +226,6 @@ class StepOpArray
 
     /** Proxy view of op `i`. */
     StepOpView operator[](std::size_t i) const;
-
-    /** Materialise op `i` back into an addressable StepOp (for tests
-     *  and targeted mutation via set()). */
-    StepOp get(std::size_t i) const;
-
-    /**
-     * Overwrite op `i` with `op`, unchecked: no dependency or stage
-     * validation runs (tests use this to assemble deliberately broken
-     * plans for validate()). Variable-length fields that grow are
-     * re-appended to the pools; the abandoned spans stay as slack.
-     */
-    void set(std::size_t i, const StepOp &op);
 
     /** Append `op`, flattening it into the parallel arrays. */
     void push(const StepOp &op);
@@ -512,6 +501,21 @@ void propagatePrefill(const RunResult &from, RunResult &res);
  * the epoch-blending primitive of degraded-mode execution.
  */
 void accumulateWeighted(RunResult &acc, const RunResult &r, double w);
+
+/**
+ * The first of the sorted event times `events` strictly after `now`
+ * (past a 1e-12 s guard, so the event that opened an epoch does not
+ * end it), or infinity when none is left.
+ */
+Seconds nextEventAfter(const std::vector<Seconds> &events, Seconds now);
+
+/**
+ * Decode steps of length `step` that an epoch starting at `now` runs
+ * before the next of `events` changes its conditions: enough to reach
+ * that event (rounded up), at least 1 and at most `remaining`.
+ */
+std::uint64_t epochTokens(const std::vector<Seconds> &events, Seconds now,
+                          Seconds step, std::uint64_t remaining);
 
 /**
  * Base of every engine that emits its phases as StepPlans (all

@@ -28,10 +28,6 @@ BandwidthResource::transfer(Seconds start, std::uint64_t bytes)
     const Seconds service = serviceTime(bytes);
     busy_until_ = begin + service;
     busy_time_ += service;
-    bytes_.add(static_cast<double>(bytes));
-    transfers_.increment();
-    queue_delay_.add(begin - start);
-    transferred_ = true;
     return busy_until_;
 }
 
@@ -44,16 +40,7 @@ BandwidthResource::occupy(Seconds start, Seconds duration)
     const Seconds begin = std::max(start, busy_until_);
     busy_until_ = begin + duration;
     busy_time_ += duration;
-    stall_.add(duration);
-    stalled_ = true;
     return busy_until_;
-}
-
-void
-BandwidthResource::setRate(Bandwidth rate)
-{
-    HILOS_ASSERT(rate > 0.0, "bandwidth must be positive: ", rate);
-    rate_ = rate;
 }
 
 double
@@ -75,31 +62,6 @@ BandwidthResource::utilization(Seconds horizon) const
     return util;
 }
 
-void
-BandwidthResource::reset()
-{
-    busy_until_ = 0.0;
-    busy_time_ = 0.0;
-    bytes_.reset();
-    transfers_.reset();
-    queue_delay_.reset();
-    stall_.reset();
-}
-
-StatRegistry
-BandwidthResource::stats() const
-{
-    StatRegistry reg(name_);
-    if (transferred_) {
-        reg.counter("bytes") = bytes_;
-        reg.counter("transfers") = transfers_;
-        reg.summary("queue_delay") = queue_delay_;
-    }
-    if (stalled_)
-        reg.summary("stall") = stall_;
-    return reg;
-}
-
 BandwidthPool::BandwidthPool(std::string name, unsigned instances,
                              Bandwidth rate, Seconds latency)
     : name_(std::move(name))
@@ -116,14 +78,6 @@ Seconds
 BandwidthPool::occupyOn(std::uint64_t i, Seconds start, Seconds duration)
 {
     return links_[i % links_.size()].occupy(start, duration);
-}
-
-Seconds
-BandwidthPool::occupyNext(Seconds start, Seconds duration)
-{
-    const Seconds done = links_[next_].occupy(start, duration);
-    next_ = (next_ + 1) % links_.size();
-    return done;
 }
 
 const BandwidthResource &
@@ -150,14 +104,6 @@ BandwidthPool::meanUtilization(Seconds horizon) const
     for (const BandwidthResource &link : links_)
         sum += link.utilization(horizon);
     return sum / static_cast<double>(links_.size());
-}
-
-void
-BandwidthPool::reset()
-{
-    for (BandwidthResource &link : links_)
-        link.reset();
-    next_ = 0;
 }
 
 }  // namespace hilos

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/units.h"
 
 namespace hilos {
@@ -26,14 +25,14 @@ namespace hilos {
  *
  * The model is analytic: `transfer(start, bytes)` returns the completion
  * time assuming FIFO service, and advances the channel's busy horizon.
- * Utilisation statistics accumulate so benches can report per-link
- * occupancy (Fig. 4(c)).
+ * The channel also keeps its total busy time, so replays can report
+ * per-link occupancy (Fig. 4(c)).
  */
 class BandwidthResource
 {
   public:
     /**
-     * @param name stat-reporting name
+     * @param name channel name (trace lanes, utilisation diagnostics)
      * @param rate channel bandwidth in bytes/second
      * @param latency fixed per-request latency in seconds
      */
@@ -59,20 +58,8 @@ class BandwidthResource
      */
     Seconds occupy(Seconds start, Seconds duration);
 
-    /**
-     * Change the service rate for future transfers (fault-injected
-     * bandwidth degradation); in-flight history is unaffected.
-     */
-    void setRate(Bandwidth rate);
-
     /** Earliest time a new transfer could begin service. */
     Seconds busyUntil() const { return busy_until_; }
-
-    /** Total bytes moved so far. */
-    double totalBytes() const { return bytes_.value(); }
-
-    /** Total time the channel spent busy. */
-    Seconds busyTime() const { return busy_time_; }
 
     /**
      * Fraction of [0, horizon] the channel was busy. Reports the true
@@ -83,24 +70,7 @@ class BandwidthResource
      */
     double utilization(Seconds horizon) const;
 
-    /**
-     * Reset busy horizon and all statistics, including the queue_delay
-     * and stall summaries, back to the freshly constructed state (the
-     * configured rate and latency are preserved).
-     */
-    void reset();
-
-    Bandwidth rate() const { return rate_; }
-    Seconds latency() const { return latency_; }
     const std::string &name() const { return name_; }
-
-    /**
-     * The channel's stats under its name: counters "bytes" and
-     * "transfers" and summary "queue_delay" once a transfer has been
-     * issued, summary "stall" once a non-zero occupy has. Built on
-     * demand; keys persist across reset() with zeroed values.
-     */
-    StatRegistry stats() const;
 
   private:
     std::string name_;
@@ -108,22 +78,13 @@ class BandwidthResource
     Seconds latency_;
     Seconds busy_until_ = 0.0;
     Seconds busy_time_ = 0.0;
-    // Plain members, not registry entries: the slice replays call
-    // transfer() per KV slice, where by-name lookups cost more than
-    // the pricing itself.
-    Counter bytes_;
-    Counter transfers_;
-    Summary queue_delay_;
-    Summary stall_;
-    bool transferred_ = false;
-    bool stalled_ = false;
 };
 
 /**
  * A fleet of identical BandwidthResource instances behind one logical
  * resource kind (the SmartSSD P2P links, the NAND channels). Callers
- * address instances directly (deterministic striping) or round-robin;
- * contention within an instance serialises exactly as for a single
+ * address instances directly (deterministic striping); contention
+ * within an instance serialises exactly as for a single
  * BandwidthResource.
  */
 class BandwidthPool
@@ -135,9 +96,6 @@ class BandwidthPool
 
     /** Occupy instance `i % size()` for `duration` from `start`. */
     Seconds occupyOn(std::uint64_t i, Seconds start, Seconds duration);
-
-    /** Occupy the next instance in round-robin order. */
-    Seconds occupyNext(Seconds start, Seconds duration);
 
     unsigned size() const
     {
@@ -152,15 +110,11 @@ class BandwidthPool
     /** Mean utilisation over all instances at `horizon`. */
     double meanUtilization(Seconds horizon) const;
 
-    /** Reset every instance and the round-robin cursor. */
-    void reset();
-
     const std::string &name() const { return name_; }
 
   private:
     std::string name_;
     std::vector<BandwidthResource> links_;
-    std::size_t next_ = 0;
 };
 
 }  // namespace hilos

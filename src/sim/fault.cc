@@ -244,16 +244,6 @@ FaultPlan::deviceScope() const
     return out;
 }
 
-bool
-FaultPlan::hasHostEvents() const
-{
-    for (const FaultEvent &ev : events) {
-        if (isHostScope(ev.kind))
-            return true;
-    }
-    return false;
-}
-
 namespace {
 
 std::vector<std::string>
@@ -367,8 +357,6 @@ FaultStats::any() const
            nvme_failures > 0 || redispatched_slices > 0 ||
            retry_time > 0.0;
 }
-
-FaultInjector::FaultInjector() = default;
 
 FaultInjector::FaultInjector(const FaultPlan &plan, unsigned num_devices)
     : active_(!plan.empty()), num_devices_(num_devices),
@@ -532,14 +520,6 @@ FaultInjector::deviceFailed(unsigned dev, Seconds now) const
     return active_ && now >= fail_at_.at(dev);
 }
 
-Seconds
-FaultInjector::deviceFailTime(unsigned dev) const
-{
-    if (!active_)
-        return std::numeric_limits<Seconds>::infinity();
-    return fail_at_.at(dev);
-}
-
 unsigned
 FaultInjector::survivingDevices(Seconds now) const
 {
@@ -567,8 +547,6 @@ FaultInjector::eventTimes() const
     times.erase(std::unique(times.begin(), times.end()), times.end());
     return times;
 }
-
-HostFaultView::HostFaultView() = default;
 
 HostFaultView::HostFaultView(const FaultPlan &plan, unsigned num_hosts)
     : num_hosts_(num_hosts),
@@ -638,27 +616,6 @@ HostFaultView::hostStalled(unsigned host, Seconds now) const
             return true;
     }
     return false;
-}
-
-Seconds
-HostFaultView::hostFailTime(unsigned host) const
-{
-    if (!active_)
-        return std::numeric_limits<Seconds>::infinity();
-    return fail_at_.at(host);
-}
-
-unsigned
-HostFaultView::servingHosts(Seconds now) const
-{
-    if (!active_)
-        return num_hosts_;
-    unsigned serving = 0;
-    for (unsigned h = 0; h < num_hosts_; h++) {
-        if (!hostFailed(h, now) && !hostStalled(h, now))
-            serving++;
-    }
-    return serving;
 }
 
 unsigned

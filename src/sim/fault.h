@@ -143,9 +143,6 @@ struct FaultPlan {
      */
     FaultPlan deviceScope() const;
 
-    /** True when the plan contains at least one host-scope event. */
-    bool hasHostEvents() const;
-
     FaultPlan &addNandReadError(double probability,
                                 unsigned device = kAllDevices);
     FaultPlan &addNvmeTimeout(double probability,
@@ -207,9 +204,6 @@ struct FaultStats {
 class FaultInjector
 {
   public:
-    /** Null injector: nothing ever faults, no RNG state. */
-    FaultInjector();
-
     FaultInjector(const FaultPlan &plan, unsigned num_devices);
 
     /** True when the plan contains at least one event. */
@@ -243,8 +237,6 @@ class FaultInjector
 
     /** Whether `dev` has failed by time `now`. */
     bool deviceFailed(unsigned dev, Seconds now) const;
-    /** Failure time of `dev` (infinity when it never fails). */
-    Seconds deviceFailTime(unsigned dev) const;
     /** Number of devices still alive at time `now`. */
     unsigned survivingDevices(Seconds now) const;
     /** Sorted finite times at which any timed event activates. */
@@ -256,9 +248,7 @@ class FaultInjector
         stats_.redispatched_slices += slices;
     }
 
-    const RetryPolicy &retryPolicy() const { return retry_; }
     const FaultStats &stats() const { return stats_; }
-    unsigned numDevices() const { return num_devices_; }
 
   private:
     std::mt19937_64 &rngFor(unsigned dev);
@@ -298,23 +288,15 @@ class HostFaultView
         bool escalated = false;  ///< stall outlived the retry ladder
     };
 
-    /** Null view: every host healthy forever. */
-    HostFaultView();
-
     HostFaultView(const FaultPlan &plan, unsigned num_hosts);
 
     /** True when the plan contains at least one host-scope event. */
     bool active() const { return active_; }
-    unsigned numHosts() const { return num_hosts_; }
 
     /** Whether `host` is permanently lost by time `now`. */
     bool hostFailed(unsigned host, Seconds now) const;
     /** Whether `host` is inside a stall window at time `now`. */
     bool hostStalled(unsigned host, Seconds now) const;
-    /** Failure time of `host` (infinity when it never fails). */
-    Seconds hostFailTime(unsigned host) const;
-    /** Hosts neither failed nor stalled at time `now`. */
-    unsigned servingHosts(Seconds now) const;
     /** Hosts stalled (but not failed) at time `now`. */
     unsigned stalledHosts(Seconds now) const;
     /** Product of active inter-host degradations at time `now`. */

@@ -47,6 +47,7 @@ class TraceRecorder
     std::vector<TraceEvent> track(const std::string &name) const;
 
     /** Busy time of one track (sum of interval lengths). */
+    // lint: reference (the golden trace summary reports it)
     Seconds busyTime(const std::string &track) const;
 
     /**

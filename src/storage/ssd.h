@@ -31,9 +31,6 @@ struct SsdConfig {
     Watts idle_power = 5.0;
     /** Endurance: total petabytes written the device is rated for. */
     double endurance_pbw = 7.008;
-
-    /** Rated endurance in bytes. */
-    double enduranceBytes() const { return endurance_pbw * 1e15; }
 };
 
 /**

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the shared-channel bandwidth resource: idle service,
- * FIFO queueing, contention, utilisation and stats.
+ * FIFO queueing, contention and utilisation.
  */
 
 #include <gtest/gtest.h>
@@ -47,7 +47,6 @@ TEST(Bandwidth, BusyTimeAccumulates)
     BandwidthResource ch("ch", 1e9);
     ch.transfer(0.0, 500'000);
     ch.transfer(0.0, 500'000);
-    EXPECT_DOUBLE_EQ(ch.busyTime(), 1e-3);
     EXPECT_DOUBLE_EQ(ch.utilization(2e-3), 0.5);
     EXPECT_DOUBLE_EQ(ch.utilization(1e-3), 1.0);  // exactly saturated
 }
@@ -61,76 +60,9 @@ TEST(Bandwidth, UtilizationOverHorizonDies)
     EXPECT_DEATH(ch.utilization(0.5e-3), "utilization");
 }
 
-TEST(Bandwidth, StatsTrackBytesAndQueueDelay)
-{
-    BandwidthResource ch("ch", 1e9);
-    ch.transfer(0.0, 1000);
-    ch.transfer(0.0, 1000);
-    EXPECT_DOUBLE_EQ(ch.totalBytes(), 2000.0);
-    EXPECT_GT(ch.stats().summaries().at("queue_delay").max(), 0.0);
-}
-
-TEST(Bandwidth, ResetRestoresIdle)
-{
-    BandwidthResource ch("ch", 1e9);
-    ch.transfer(0.0, 1'000'000);
-    ch.reset();
-    EXPECT_DOUBLE_EQ(ch.busyUntil(), 0.0);
-    EXPECT_DOUBLE_EQ(ch.totalBytes(), 0.0);
-    EXPECT_DOUBLE_EQ(ch.transfer(0.0, 1'000'000), 1e-3);
-}
-
 TEST(Bandwidth, InvalidRateDies)
 {
     EXPECT_DEATH(BandwidthResource("bad", 0.0), "positive");
-}
-
-TEST(Bandwidth, SetRateDoesNotRepriceInFlightTransfer)
-{
-    BandwidthResource ch("ch", 1e9);
-    ch.transfer(0.0, 1'000'000);  // in service until 1 ms at 1 GB/s
-    ch.setRate(2e9);              // rate change mid-transfer
-    // The in-flight transfer keeps its original pricing.
-    EXPECT_DOUBLE_EQ(ch.busyUntil(), 1e-3);
-    EXPECT_DOUBLE_EQ(ch.busyTime(), 1e-3);
-    // Only subsequent transfers see the new rate, queued behind the
-    // old-rate completion.
-    const Seconds done = ch.transfer(0.0, 1'000'000);
-    EXPECT_DOUBLE_EQ(done, 1e-3 + 0.5e-3);
-    EXPECT_DOUBLE_EQ(ch.busyTime(), 1.5e-3);
-    EXPECT_DOUBLE_EQ(ch.utilization(done), 1.0);
-}
-
-TEST(Bandwidth, SetRateDoesNotRepriceAccumulatedBusyTime)
-{
-    // Slowing the channel down must likewise leave history alone.
-    BandwidthResource ch("ch", 2e9);
-    ch.transfer(0.0, 1'000'000);  // 0.5 ms of service
-    ch.setRate(1e9);
-    EXPECT_DOUBLE_EQ(ch.busyTime(), 0.5e-3);
-    EXPECT_DOUBLE_EQ(ch.busyUntil(), 0.5e-3);
-    ch.transfer(1e-3, 1'000'000);  // idle gap, then 1 ms at new rate
-    EXPECT_DOUBLE_EQ(ch.busyTime(), 1.5e-3);
-    EXPECT_DOUBLE_EQ(ch.busyUntil(), 2e-3);
-    // Busy time is 1.5 ms of a 2 ms window: no clamp, no repricing.
-    EXPECT_DOUBLE_EQ(ch.utilization(2e-3), 0.75);
-}
-
-TEST(Bandwidth, ResetClearsSummaryStats)
-{
-    BandwidthResource ch("ch", 1e9);
-    ch.transfer(0.0, 1000);
-    ch.transfer(0.0, 1000);       // queues: records queue_delay
-    ch.occupy(0.0, 1e-6);         // records a stall
-    EXPECT_GT(ch.stats().summaries().at("queue_delay").count(), 0u);
-    EXPECT_GT(ch.stats().summaries().at("stall").count(), 0u);
-    ch.reset();
-    EXPECT_EQ(ch.stats().summaries().at("queue_delay").count(), 0u);
-    EXPECT_DOUBLE_EQ(ch.stats().summaries().at("queue_delay").max(), 0.0);
-    EXPECT_EQ(ch.stats().summaries().at("stall").count(), 0u);
-    EXPECT_DOUBLE_EQ(ch.stats().summaries().at("stall").sum(), 0.0);
-    EXPECT_DOUBLE_EQ(ch.busyTime(), 0.0);
-    EXPECT_DOUBLE_EQ(ch.utilization(1.0), 0.0);
 }
 
 }  // namespace

@@ -145,6 +145,11 @@ TEST(CliBoundary, ServeRejectsOutOfDomainOptions)
     expectRejected("--serve --arrival-rate -1", "arrivals: rate -1");
     expectRejected("--serve --slo-ms -3", "serving: SLO -0.003");
     expectRejected("--serve --batch 0", "serving: batch cap 0");
+    // Bounded above by the stream's longest padded prompt: a huge count
+    // used to run one empty chunk after another instead of being
+    // rejected before the simulator starts.
+    expectRejected("--serve --prefill-chunks 100000000 --requests 4",
+                   "serving: prefill chunks 100000000 must be <= ");
 }
 
 TEST(CliBoundary, OfflineRunRejectsOutOfDomainRunConfig)

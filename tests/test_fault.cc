@@ -184,8 +184,9 @@ TEST(FaultInjector, FailureTimeline)
     EXPECT_TRUE(inj.deviceFailed(1, 2.0));
     EXPECT_EQ(inj.survivingDevices(2.0), 3u);
     EXPECT_EQ(inj.survivingDevices(5.0), 2u);
-    EXPECT_DOUBLE_EQ(inj.deviceFailTime(1), 2.0);
-    EXPECT_TRUE(std::isinf(inj.deviceFailTime(0)));
+    EXPECT_FALSE(inj.deviceFailed(3, 4.99));
+    EXPECT_TRUE(inj.deviceFailed(3, 5.0));
+    EXPECT_FALSE(inj.deviceFailed(0, 1e30));  // never fails
     const auto times = inj.eventTimes();
     ASSERT_EQ(times.size(), 2u);
     EXPECT_DOUBLE_EQ(times[0], 2.0);
@@ -233,14 +234,6 @@ TEST(BandwidthFaults, ZeroDurationOccupyIsANoOp)
     const Seconds t1 = res.transfer(0.0, 1 << 20);
     EXPECT_DOUBLE_EQ(res.occupy(0.0, 0.0), t1);
     EXPECT_DOUBLE_EQ(res.busyUntil(), t1);
-}
-
-TEST(BandwidthFaults, SetRateScalesFutureServiceTime)
-{
-    BandwidthResource res("link", 2.0 * GB, 0.0);
-    const Seconds fast = res.serviceTime(1 << 30);
-    res.setRate(1.0 * GB);
-    EXPECT_DOUBLE_EQ(res.serviceTime(1 << 30), 2.0 * fast);
 }
 
 // --- FaultPlan::validate ---
@@ -360,13 +353,13 @@ TEST(FaultPlanHostScope, DeviceScopeDropsHostEventsOnly)
         .addHostFailure(2.0, 1)
         .addNvmeTimeout(1e-4)
         .addHostStall(3.0, 0.02, 0);
-    EXPECT_TRUE(plan.hasHostEvents());
+    EXPECT_TRUE(HostFaultView(plan, 4).active());
     const FaultPlan dev = plan.deviceScope();
     EXPECT_EQ(dev.seed, 77u);
     ASSERT_EQ(dev.events.size(), 2u);
     EXPECT_EQ(dev.events[0].kind, FaultKind::NandReadError);
     EXPECT_EQ(dev.events[1].kind, FaultKind::NvmeTimeout);
-    EXPECT_FALSE(dev.hasHostEvents());
+    EXPECT_FALSE(HostFaultView(dev, 4).active());
 }
 
 TEST(FaultPlanHostScope, InjectorIgnoresHostEvents)
@@ -381,13 +374,24 @@ TEST(FaultPlanHostScope, InjectorIgnoresHostEvents)
 
 // --- HostFaultView ---
 
+/** Hosts neither failed nor stalled at `now`. */
+unsigned
+servingHosts(const HostFaultView &view, unsigned hosts, Seconds now)
+{
+    unsigned serving = 0;
+    for (unsigned h = 0; h < hosts; h++) {
+        if (!view.hostFailed(h, now) && !view.hostStalled(h, now))
+            serving++;
+    }
+    return serving;
+}
+
 TEST(HostFaultView, NullViewAndEmptyPlanAreInactive)
 {
-    const HostFaultView null_view;
-    EXPECT_FALSE(null_view.active());
+    // An empty plan is the null view: every host healthy forever.
     const HostFaultView empty(FaultPlan{}, 4);
     EXPECT_FALSE(empty.active());
-    EXPECT_EQ(empty.servingHosts(1e9), 4u);
+    EXPECT_EQ(servingHosts(empty, 4, 1e9), 4u);
     EXPECT_EQ(empty.interHostDerate(1e9), 1.0);
 }
 
@@ -397,13 +401,14 @@ TEST(HostFaultView, FailureTimeline)
     plan.addHostFailure(5.0, 1).addHostFailure(8.0, 3);
     const HostFaultView view(plan, 4);
     EXPECT_TRUE(view.active());
-    EXPECT_EQ(view.servingHosts(0.0), 4u);
+    EXPECT_EQ(servingHosts(view, 4, 0.0), 4u);
     EXPECT_FALSE(view.hostFailed(1, 4.999));
     EXPECT_TRUE(view.hostFailed(1, 5.0));
-    EXPECT_EQ(view.servingHosts(6.0), 3u);
-    EXPECT_EQ(view.servingHosts(9.0), 2u);
-    EXPECT_DOUBLE_EQ(view.hostFailTime(1), 5.0);
-    EXPECT_TRUE(std::isinf(view.hostFailTime(0)));
+    EXPECT_EQ(servingHosts(view, 4, 6.0), 3u);
+    EXPECT_EQ(servingHosts(view, 4, 9.0), 2u);
+    EXPECT_FALSE(view.hostFailed(3, 7.999));
+    EXPECT_TRUE(view.hostFailed(3, 8.0));
+    EXPECT_FALSE(view.hostFailed(0, 1e30));  // never fails
 }
 
 TEST(HostFaultView, ShortStallRecoversAtProbeBoundary)
@@ -423,7 +428,7 @@ TEST(HostFaultView, ShortStallRecoversAtProbeBoundary)
     EXPECT_TRUE(view.hostStalled(2, 10.001));
     EXPECT_FALSE(view.hostStalled(2, w.end + 1e-9));
     EXPECT_FALSE(view.hostFailed(2, 1e9));
-    EXPECT_EQ(view.servingHosts(10.001), 3u);
+    EXPECT_EQ(servingHosts(view, 4, 10.001), 3u);
     EXPECT_EQ(view.stalledHosts(10.001), 1u);
 }
 

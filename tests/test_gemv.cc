@@ -249,29 +249,32 @@ TEST(SimdDifferential, F16cWideningMatchesHalfToFloatExhaustively)
 {
     if (!simdLevelSupported(SimdLevel::Avx2))
         GTEST_SKIP() << "CPU lacks AVX2/F16C";
-    // Every half pattern through VCVTPH2PS vs the software widening.
-    // Non-NaN values must agree bit-for-bit (this is what makes the
-    // AVX2 kernel lanes exact); signalling NaNs may be quietened by
-    // the instruction, so NaN payloads only need to stay NaN.
-    std::vector<Half> in(65536);
-    for (std::uint32_t i = 0; i < 65536; i++)
-        in[i] = Half::fromBits(static_cast<std::uint16_t>(i));
-    std::vector<float> out(in.size());
-    cvtHalfToFloatAvx2(in.data(), out.data(), in.size());
-
+    // Every non-NaN half pattern as one V row under probability 1: the
+    // AVX2 svGemv lane widens through VCVTPH2PS, the scalar loop through
+    // Half::halfToFloat, and both then run the same multiply-add, so
+    // bitwise agreement is agreement of the two widenings (this is what
+    // makes the AVX2 kernel lanes exact). Signalling NaNs may be
+    // quietened by the instruction and are outside the contract.
+    std::vector<Half> vh;
     for (std::uint32_t i = 0; i < 65536; i++) {
-        const float ref =
-            Half::halfToFloat(static_cast<std::uint16_t>(i));
-        if (in[i].isNan()) {
-            ASSERT_TRUE(std::isnan(out[i])) << "bits=" << i;
+        const float f = Half::halfToFloat(static_cast<std::uint16_t>(i));
+        if (std::isnan(f))
             continue;
-        }
-        std::uint32_t got_bits;
-        std::uint32_t ref_bits;
-        std::memcpy(&got_bits, &out[i], sizeof(got_bits));
-        std::memcpy(&ref_bits, &ref, sizeof(ref_bits));
-        ASSERT_EQ(got_bits, ref_bits) << "bits=" << i;
+        vh.push_back(Half(f));
+        ASSERT_EQ(vh.back().bits(), i);
     }
+    const std::vector<float> probs = {1.0f};
+    std::vector<float> scalar;
+    std::vector<float> avx2;
+    {
+        test::ScopedSimdLevel lvl(SimdLevel::Scalar);
+        scalar = svGemv(probs, 1, viewOf(vh, 1, vh.size()));
+    }
+    {
+        test::ScopedSimdLevel lvl(SimdLevel::Avx2);
+        avx2 = svGemv(probs, 1, viewOf(vh, 1, vh.size()));
+    }
+    EXPECT_TRUE(bitwiseEqual(scalar, avx2));
 }
 
 TEST(SimdDifferential, F16cWideningHandlesUnalignedTails)
@@ -280,13 +283,17 @@ TEST(SimdDifferential, F16cWideningHandlesUnalignedTails)
         GTEST_SKIP() << "CPU lacks AVX2/F16C";
     Rng rng(77);
     for (std::size_t n : {1u, 7u, 8u, 13u, 31u}) {
-        std::vector<Half> in(n);
-        for (auto &h : in)
+        std::vector<Half> vh(n);
+        for (auto &h : vh)
             h = Half(static_cast<float>(rng.uniform(-4.0, 4.0)));
-        std::vector<float> out(n, -1.0f);
-        cvtHalfToFloatAvx2(in.data(), out.data(), n);
+        const std::vector<float> probs = {1.0f};
+        std::vector<float> avx2;
+        {
+            test::ScopedSimdLevel lvl(SimdLevel::Avx2);
+            avx2 = svGemv(probs, 1, viewOf(vh, 1, n));
+        }
         for (std::size_t i = 0; i < n; i++)
-            EXPECT_EQ(out[i], in[i].toFloat()) << "n=" << n << " i=" << i;
+            EXPECT_EQ(avx2[i], vh[i].toFloat()) << "n=" << n << " i=" << i;
     }
 }
 

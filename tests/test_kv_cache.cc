@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "common/random.h"
@@ -22,6 +24,14 @@ halfRow(std::size_t d, float base)
     for (std::size_t i = 0; i < d; i++)
         row[i] = Half(base + static_cast<float>(i));
     return row;
+}
+
+/** Bytes a slice holds (K + V), read through its matrix views. */
+std::size_t
+sliceBytes(const KvCache &cache, const SliceId &id)
+{
+    const HalfMatrixView k = cache.keys(id), v = cache.values(id);
+    return (k.rows * k.cols + v.rows * v.cols) * sizeof(Half);
 }
 
 TEST(KvCache, AppendGrowsSlices)
@@ -57,9 +67,9 @@ TEST(KvCache, ByteAccounting)
     cache.append(SliceId{0, 0}, k.data(), v.data());
     cache.append(SliceId{1, 1}, k.data(), v.data());
     cache.append(SliceId{1, 1}, k.data(), v.data());
-    EXPECT_EQ(cache.sliceBytes(SliceId{0, 0}), 2u * 8 * 2);
-    EXPECT_EQ(cache.sliceBytes(SliceId{1, 1}), 2u * 2 * 8 * 2);
-    EXPECT_EQ(cache.totalBytes(), 3u * 2 * 8 * 2);
+    EXPECT_EQ(sliceBytes(cache, SliceId{0, 0}), 2u * 8 * 2);
+    EXPECT_EQ(sliceBytes(cache, SliceId{1, 1}), 2u * 2 * 8 * 2);
+    EXPECT_EQ(sliceBytes(cache, SliceId{0, 1}), 0u);
 }
 
 TEST(KvCache, OutOfRangeSliceDies)
@@ -81,7 +91,9 @@ TEST(XCacheStore, HoldsHalfTheKvBytes)
         xcache.append(0, row.data());
         kv.append(SliceId{0, 0}, row.data(), row.data());
     }
-    EXPECT_EQ(2 * xcache.totalBytes(), kv.totalBytes());
+    const HalfMatrixView x = xcache.activations(0);
+    EXPECT_EQ(2 * x.rows * x.cols * sizeof(Half),
+              sliceBytes(kv, SliceId{0, 0}));
 }
 
 TEST(XCacheStore, ActivationViewHasHiddenColumns)
@@ -95,37 +107,49 @@ TEST(XCacheStore, ActivationViewHasHiddenColumns)
     EXPECT_EQ(xcache.length(0), 0u);
 }
 
+/** Slices each of `devices` devices owns, counted through deviceOf. */
+std::vector<std::size_t>
+deviceLoads(const SlicePartition &part, std::uint32_t batches,
+            std::uint32_t kv_heads, std::size_t devices)
+{
+    std::vector<std::size_t> load(devices, 0);
+    for (std::uint32_t b = 0; b < batches; b++) {
+        for (std::uint32_t h = 0; h < kv_heads; h++) {
+            const std::size_t dev = part.deviceOf(SliceId{b, h});
+            EXPECT_LT(dev, devices);
+            if (dev < devices)
+                load[dev]++;
+        }
+    }
+    return load;
+}
+
 TEST(SlicePartition, CoversAllSlicesExactlyOnce)
 {
     const SlicePartition part(4, 6, 5);
-    EXPECT_EQ(part.totalSlices(), 24u);
-    std::vector<int> seen(24, 0);
-    for (std::size_t dev = 0; dev < part.devices(); dev++) {
-        for (const SliceId &id : part.slicesOf(dev)) {
-            seen[id.batch * 6 + id.kv_head]++;
-            EXPECT_EQ(part.deviceOf(id), dev);
-        }
-    }
-    for (int c : seen)
-        EXPECT_EQ(c, 1);
+    const std::vector<std::size_t> load = deviceLoads(part, 4, 6, 5);
+    EXPECT_EQ(std::accumulate(load.begin(), load.end(), std::size_t{0}),
+              24u);
+    // Round-robin in (batch, kv-head) order.
+    EXPECT_EQ(part.deviceOf(SliceId{0, 4}), 4u);
+    EXPECT_EQ(part.deviceOf(SliceId{0, 5}), 0u);
+    EXPECT_EQ(part.deviceOf(SliceId{1, 0}), 1u);
+    EXPECT_DEATH(part.deviceOf(SliceId{4, 0}), "range");
 }
 
 TEST(SlicePartition, BalancedWithinOne)
 {
     const SlicePartition part(16, 96, 7);
-    std::size_t lo = SIZE_MAX, hi = 0;
-    for (std::size_t dev = 0; dev < 7; dev++) {
-        lo = std::min(lo, part.slicesOf(dev).size());
-        hi = std::max(hi, part.slicesOf(dev).size());
-    }
-    EXPECT_LE(hi - lo, 1u);
-    EXPECT_EQ(part.maxSlicesPerDevice(), hi);
+    const std::vector<std::size_t> load = deviceLoads(part, 16, 96, 7);
+    const auto [lo, hi] = std::minmax_element(load.begin(), load.end());
+    EXPECT_LE(*hi - *lo, 1u);
+    EXPECT_EQ(*hi, 220u);  // ceil(16 * 96 / 7)
 }
 
 TEST(SlicePartition, SingleDeviceOwnsEverything)
 {
     const SlicePartition part(3, 4, 1);
-    EXPECT_EQ(part.slicesOf(0).size(), 12u);
+    EXPECT_EQ(deviceLoads(part, 3, 4, 1).front(), 12u);
 }
 
 }  // namespace

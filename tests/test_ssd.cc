@@ -19,7 +19,6 @@ TEST(SsdConfig, Pm9a3PresetMatchesDatasheet)
     EXPECT_NEAR(static_cast<double>(cfg.capacity), 3.84e12, 1e9);
     EXPECT_DOUBLE_EQ(cfg.active_power, 13.0);
     EXPECT_DOUBLE_EQ(cfg.endurance_pbw, 7.008);
-    EXPECT_DOUBLE_EQ(cfg.enduranceBytes(), 7.008e15);
 }
 
 TEST(SsdConfig, SmartSsdNandIsP2pLimited)

@@ -287,14 +287,42 @@ TEST(EngineContract, InfeasiblePlansSayWhy)
 // these tests assemble the defective plans field-by-field, the way a
 // fuzzer or deserialiser could.
 
-/** Materialise op `i`, apply `fn`, and write it back unchecked. */
+/** An addressable copy of the op a view shows. */
+StepOp
+materialise(const StepOpView &v)
+{
+    StepOp op;
+    op.op_kind = v.op_kind;
+    op.resource = v.resource;
+    op.unit = v.unit;
+    op.seconds = v.seconds;
+    op.bytes = v.bytes;
+    op.fanout = v.fanout;
+    op.label = std::string(v.label);
+    op.stage = std::string(v.stage);
+    op.busy = v.busy;
+    op.prefetch = v.prefetch;
+    op.shadow = v.shadow;
+    op.offline = v.offline;
+    op.traffic.assign(v.traffic.begin(), v.traffic.end());
+    op.deps.assign(v.deps.begin(), v.deps.end());
+    return op;
+}
+
+/** Rebuild `ops` with `fn` applied to op `i`, unchecked: push() runs no
+ *  dependency or stage validation. */
 template <typename Fn>
 void
 mutateOp(StepOpArray &ops, std::size_t i, Fn fn)
 {
-    StepOp op = ops.get(i);
-    fn(op);
-    ops.set(i, op);
+    StepOpArray rebuilt;
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+        StepOp op = materialise(ops[k]);
+        if (k == i)
+            fn(op);
+        rebuilt.push(op);
+    }
+    ops = std::move(rebuilt);
 }
 
 /** True when some diagnostic contains both fragments. */

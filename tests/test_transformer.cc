@@ -59,7 +59,6 @@ TEST_P(TransformerPaths, AllPathsAgree)
         EXPECT_LT(out_ref.maxAbsDiff(out_xc), 2e-2f)
             << "step " << step << " (x-cache)";
     }
-    EXPECT_EQ(ref.contextLen(), pc.prompt + pc.steps);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -84,7 +83,6 @@ TEST(Transformer, PrefillPopulatesAllCaches)
     const Matrix prompt = Matrix::random(2 * 10, 32, rng, 0.5f);
     const Matrix out = layer.prefill(prompt, 10);
     EXPECT_EQ(out.rows(), 20u);
-    EXPECT_EQ(layer.contextLen(), 10u);
 }
 
 TEST(Transformer, DecodeBuffersUntilSpill)
@@ -176,7 +174,6 @@ TEST(Model, TokenOutputsIdenticalAcrossPaths)
     const auto t_xc = xc.generate(16, AttentionPath::XCache);
     EXPECT_EQ(t_ref, t_nsp);
     EXPECT_EQ(t_ref, t_xc);
-    EXPECT_EQ(ref.contextLen(), prompt_len + 16);
 }
 
 TEST(Model, GenerationIsDeterministic)

@@ -73,7 +73,7 @@ TEST(NeedleTask, ShapesAndPlacement)
     cfg.needles = 6;
     cfg.d_group = 2;
     const NeedleTask task = makeNeedleTask(cfg, rng);
-    EXPECT_EQ(task.contextLen(), 512u);
+    EXPECT_EQ(task.keys.rows(), 512u);
     EXPECT_EQ(task.queries.rows(), 2u);
     EXPECT_EQ(task.needles.size(), 6u);
     EXPECT_TRUE(std::is_sorted(task.needles.begin(), task.needles.end()));

@@ -35,7 +35,7 @@ TEST(WritebackBuffer, AppendsUntilSpillInterval)
     EXPECT_EQ(buf.buffered(0), 3u);
     EXPECT_TRUE(buf.append(0, k.data(), v.data()));  // 4th spills
     EXPECT_EQ(buf.buffered(0), 0u);
-    EXPECT_EQ(buf.totalSpills(), 1u);
+    EXPECT_EQ(buf.takeSpills().size(), 1u);
 }
 
 TEST(WritebackBuffer, SpillChunksCarryAllBytes)
