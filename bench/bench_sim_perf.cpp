@@ -9,9 +9,9 @@
  *  2. plan evaluation backends — analytic evaluatePlan and the
  *     event-driven simulatePlan over one HILOS decode plan, plus the
  *     HilosEventSimulator's slice-level decode step (fault-free and
- *     under a fault plan), the Prefill-phase plan's build/evaluate cost
- *     and the deterministic chunked-prefill overhead ratio (4 chunks vs
- *     monolithic);
+ *     under a fault plan, and their ratio), the Prefill-phase plan's
+ *     build/evaluate cost and the deterministic chunked-prefill
+ *     overhead ratio (4 chunks vs monolithic);
  *  3. end-to-end sweep rate — cold (a fresh engine + run() per point)
  *     vs warm (runGrid, one engine and PlanCache per worker) on a
  *     Fig-10 style engine x batch x context grid, same binary.
@@ -235,8 +235,13 @@ main(int argc, char **argv)
     // --- 2b. slice-level decode-step replay, fault-free and faulted ---
     // The fleet's cross-check path: one HilosEventSimulator step streams
     // 576 KV slices per layer over 64 layers at the headline config. The
-    // faulted plan adds the seeded per-slice NAND/NVMe draws, a failed
-    // device (its slices re-dispatched) and link/uplink derates.
+    // faulted plan adds a failed device (its slices re-dispatched),
+    // link/uplink derates and the seeded per-slice NAND/NVMe draws:
+    // raw mt19937_64 words compared against integer thresholds, the
+    // "no fault" outcome inline. event_sim_faulted_speed (fault-free
+    // step / faulted step) guards what those draws cost: a ratio of two
+    // steps timed in the same run, it carries over between machines
+    // like the other unit-x rows.
     const HilosEventSimulator step_sim(sys, HilosOptions{});
     HilosOptions faulted_opts;
     faulted_opts.fault_plan =
@@ -261,6 +266,7 @@ main(int argc, char **argv)
     report("event_sim_decode_step", "us/step", 1e6 * step / step_iters);
     report("event_sim_decode_step_faulted", "us/step",
            1e6 * faulted_step / step_iters);
+    report("event_sim_faulted_speed", "x", step / faulted_step);
 
     // --- 2c. Prefill-phase plans: build/evaluate cost + chunk ratio ---
     const double prefill_build = timeSeconds(

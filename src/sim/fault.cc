@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <random>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -228,6 +230,28 @@ FaultPlan::validate() const
                           std::to_string(ev.device) + " is meaningless");
         }
     }
+    if (retry.nvme_max_attempts == 0) {
+        out.push_back("retry: nvme_max_attempts 0 allows no NVMe "
+                      "attempt; it must be >= 1");
+    }
+    if (retry.ecc_max_steps == 0) {
+        out.push_back("retry: ecc_max_steps 0 leaves the ECC read-retry "
+                      "ladder empty; it must be >= 1");
+    }
+    const std::pair<const char *, double> latencies[] = {
+        {"nvme_timeout", retry.nvme_timeout},
+        {"backoff_base", retry.backoff_base},
+        {"backoff_multiplier", retry.backoff_multiplier},
+        {"backoff_cap", retry.backoff_cap},
+        {"ecc_step_latency", retry.ecc_step_latency},
+    };
+    for (const auto &[name, value] : latencies) {
+        if (!(std::isfinite(value) && value >= 0.0)) {
+            out.push_back(std::string("retry: ") + name + " " +
+                          std::to_string(value) +
+                          " is not finite and non-negative");
+        }
+    }
     return out;
 }
 
@@ -358,6 +382,102 @@ FaultStats::any() const
            retry_time > 0.0;
 }
 
+BlockMt19937_64::BlockMt19937_64(result_type seed)
+{
+    // std::mersenne_twister_engine's seeding, with mt19937_64's
+    // initialization multiplier.
+    state_[0] = seed;
+    for (std::size_t i = 1; i < kStateWords; i++) {
+        const result_type prev = state_[i - 1];
+        state_[i] = 6364136223846793005ull * (prev ^ (prev >> 62)) + i;
+    }
+}
+
+void
+BlockMt19937_64::refill()
+{
+    // mt19937_64's twist (m = 156, r = 31) followed by its tempering,
+    // each over the whole block. The twist's carry bit selects `a` by a
+    // mask, not a branch (it is a coin flip per word), and the loops
+    // have even trip counts so that they vectorize at -O2.
+    constexpr std::size_t n = kStateWords;
+    constexpr std::size_t m = 156;
+    constexpr result_type upper = ~result_type{0} << 31;
+    constexpr result_type lower = ~upper;
+    constexpr result_type a = 0xb5026f5aa96619e9ull;
+    const auto mix = [&](result_type hi, result_type lo, result_type x) {
+        const result_type y = (hi & upper) | (lo & lower);
+        return x ^ (y >> 1) ^ ((result_type{0} - (y & 1)) & a);
+    };
+    for (std::size_t k = 0; k < n - m; k++)
+        state_[k] = mix(state_[k], state_[k + 1], state_[k + m]);
+    for (std::size_t k = n - m; k < n - 2; k++)
+        state_[k] = mix(state_[k], state_[k + 1], state_[k - (n - m)]);
+    state_[n - 2] = mix(state_[n - 2], state_[n - 1], state_[m - 2]);
+    state_[n - 1] = mix(state_[n - 1], state_[0], state_[m - 1]);
+    for (std::size_t k = 0; k < n; k++) {
+        result_type z = state_[k];
+        z ^= (z >> 29) & 0x5555555555555555ull;
+        z ^= (z << 17) & 0x71d67fffeda60000ull;
+        z ^= (z << 37) & 0xfff7eee000000000ull;
+        z ^= z >> 43;
+        out_[k] = z;
+    }
+    pos_ = 0;
+}
+
+namespace {
+
+/** A generator that returns one fixed raw value and counts its calls. */
+struct FixedDraw {
+    using result_type = BlockMt19937_64::result_type;
+    static constexpr result_type min() { return BlockMt19937_64::min(); }
+    static constexpr result_type max() { return BlockMt19937_64::max(); }
+    result_type value = 0;
+    unsigned calls = 0;
+    result_type operator()()
+    {
+        calls++;
+        return value;
+    }
+};
+
+/** u(raw) < p through the library's own uniform_real_distribution. */
+bool
+drawErrs(std::uint64_t raw, double p)
+{
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    FixedDraw g{raw};
+    const bool errs = u(g) < p;
+    // The threshold replaces exactly one draw per uniform variate.
+    HILOS_ASSERT(g.calls == 1, "uniform_real_distribution consumed ",
+                 g.calls, " raw draws per variate");
+    return errs;
+}
+
+}  // namespace
+
+std::uint64_t
+faultDrawLimit(double p)
+{
+    HILOS_ASSERT(p > 0.0 && p <= 1.0, "fault probability ", p,
+                 " is outside (0, 1]");
+    constexpr std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    if (drawErrs(top, p))
+        return top;
+    // Invariant: lo errs (u(0) = 0 < p), hi does not.
+    std::uint64_t lo = 0;
+    std::uint64_t hi = top;
+    while (hi - lo > 1) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (drawErrs(mid, p))
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 FaultInjector::FaultInjector(const FaultPlan &plan, unsigned num_devices)
     : active_(!plan.empty()), num_devices_(num_devices),
       retry_(plan.retry),
@@ -408,39 +528,48 @@ FaultInjector::FaultInjector(const FaultPlan &plan, unsigned num_devices)
             break;
         }
     }
-    if (active_) {
-        // One independent stream per device: draws on one device never
-        // shift another device's sequence (splitmix-style seeding).
-        rng_.reserve(num_devices);
-        for (unsigned d = 0; d < num_devices; d++) {
-            std::uint64_t z =
-                plan.seed + 0x9e3779b97f4a7c15ull *
-                                (static_cast<std::uint64_t>(d) + 1);
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            rng_.emplace_back(z ^ (z >> 31));
-        }
+    const auto drawing = [](double p) { return p > 0.0; };
+    if (std::none_of(nand_prob_.begin(), nand_prob_.end(), drawing) &&
+        std::none_of(nvme_prob_.begin(), nvme_prob_.end(), drawing))
+        return;
+    // One independent stream per device: draws on one device never
+    // shift another device's sequence (splitmix-style seeding).
+    rng_.reserve(num_devices);
+    for (unsigned d = 0; d < num_devices; d++) {
+        std::uint64_t z =
+            plan.seed + 0x9e3779b97f4a7c15ull *
+                            (static_cast<std::uint64_t>(d) + 1);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        rng_.emplace_back(z ^ (z >> 31));
     }
-}
-
-std::mt19937_64 &
-FaultInjector::rngFor(unsigned dev)
-{
-    HILOS_ASSERT(dev < rng_.size(), "no RNG stream for device ", dev);
-    return rng_[dev];
+    // Fleet-wide clauses give every device the same probability, so
+    // search once per distinct value rather than once per device.
+    const auto limits = [](const std::vector<double> &probs) {
+        std::vector<std::uint64_t> out(probs.size(), 0);
+        double searched = 0.0;
+        std::uint64_t limit = 0;
+        for (std::size_t d = 0; d < probs.size(); d++) {
+            if (probs[d] <= 0.0)
+                continue;
+            if (probs[d] != searched) {
+                searched = probs[d];
+                limit = faultDrawLimit(searched);
+            }
+            out[d] = limit;
+        }
+        return out;
+    };
+    nand_limit_ = limits(nand_prob_);
+    nvme_limit_ = limits(nvme_prob_);
 }
 
 Seconds
-FaultInjector::nandReadPenalty(unsigned dev)
+FaultInjector::nandReadError(unsigned dev)
 {
-    if (!active_ || nand_prob_[dev] <= 0.0)
-        return 0.0;
-    std::uniform_real_distribution<double> u(0.0, 1.0);
-    if (u(rngFor(dev)) >= nand_prob_[dev])
-        return 0.0;
     std::uniform_int_distribution<unsigned> steps_dist(
         1, retry_.ecc_max_steps);
-    const unsigned steps = steps_dist(rngFor(dev));
+    const unsigned steps = steps_dist(rng_[dev]);
     const Seconds penalty =
         static_cast<double>(steps) * retry_.ecc_step_latency;
     stats_.nand_read_errors++;
@@ -450,16 +579,12 @@ FaultInjector::nandReadPenalty(unsigned dev)
 }
 
 FaultInjector::NvmeOutcome
-FaultInjector::nvmeCommand(unsigned dev)
+FaultInjector::nvmeTimedOut(unsigned dev)
 {
+    // Attempt 1's draw erred in the inline fast path; each retry draws
+    // one more raw word.
     NvmeOutcome out;
-    if (!active_ || nvme_prob_[dev] <= 0.0)
-        return out;
-    std::uniform_real_distribution<double> u(0.0, 1.0);
-    for (unsigned attempt = 1; attempt <= retry_.nvme_max_attempts;
-         attempt++) {
-        if (u(rngFor(dev)) >= nvme_prob_[dev])
-            return out;  // this attempt completed
+    for (unsigned attempt = 1;; attempt++) {
         stats_.nvme_timeouts++;
         if (attempt == retry_.nvme_max_attempts) {
             out.failed = true;  // retries exhausted
@@ -472,8 +597,9 @@ FaultInjector::nvmeCommand(unsigned dev)
         out.retries++;
         stats_.nvme_retries++;
         stats_.retry_time += delay;
+        if (rng_[dev]() > nvme_limit_[dev])
+            return out;  // the retry completed
     }
-    return out;
 }
 
 double

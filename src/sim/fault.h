@@ -12,6 +12,17 @@
  * evaluates the plan with one deterministic RNG stream per device, so
  * the same seed and plan always reproduce bit-identical results.
  *
+ * The per-slice draws are the event simulator's hot path, so they are
+ * priced cheaply without changing a drawn value:
+ *  - each stream is std::mt19937_64's exact output sequence, produced
+ *    by BlockMt19937_64 a whole 312-word block per refill;
+ *  - an error probability is compared as an integer threshold on the
+ *    raw 64-bit draw, derived once from the library's own
+ *    std::uniform_real_distribution mapping (faultDrawLimit), so
+ *    `draw <= limit` holds exactly when `u(draw) < p` would;
+ *  - the "no fault" outcome of nandReadPenalty/nvmeCommand is inline;
+ *    the ladder draw, the retry loop and FaultStats stay out of line.
+ *
  * Invariants the rest of the stack relies on:
  *  - an empty plan injects nothing and draws no random numbers, so the
  *    zero-fault path is byte-identical to a build without this layer;
@@ -25,6 +36,8 @@
 #ifndef HILOS_SIM_FAULT_H_
 #define HILOS_SIM_FAULT_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -130,6 +143,8 @@ struct FaultPlan {
      * in [0, 1], *LinkDegrade multiplier in (0, 1], finite non-negative
      * `at` and `duration`, and no target inside the reserved gap
      * between real indices and the kUplinkTarget/kAllDevices sentinels.
+     * The retry policy must allow at least one NVMe attempt and one
+     * ECC ladder step, with finite non-negative latencies and backoff.
      * Returns one named diagnostic per violation (empty = valid), in
      * the style of StepPlan::validate(); FaultInjector and
      * HostFaultView construction are gated on it.
@@ -193,6 +208,52 @@ struct FaultStats {
 };
 
 /**
+ * std::mt19937_64 with its output produced a block at a time: each
+ * refill twists all 312 state words and tempers them into an output
+ * buffer in one pass, so a draw is a load and an index bump. Seeding
+ * and the output sequence are exactly std::mt19937_64's. A
+ * UniformRandomBitGenerator, so the standard distributions draw from
+ * it unchanged.
+ */
+class BlockMt19937_64
+{
+  public:
+    using result_type = std::mt19937_64::result_type;
+    static constexpr std::size_t kStateWords = 312;
+
+    explicit BlockMt19937_64(result_type seed);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max()
+    {
+        return std::numeric_limits<result_type>::max();
+    }
+
+    result_type operator()()
+    {
+        if (pos_ == kStateWords)
+            refill();
+        return out_[pos_++];
+    }
+
+  private:
+    void refill();
+
+    std::array<result_type, kStateWords> state_{};
+    std::array<result_type, kStateWords> out_{};
+    std::size_t pos_ = kStateWords;
+};
+
+/**
+ * Largest raw 64-bit draw that std::uniform_real_distribution<double>
+ * (0, 1) maps below `p`, for `p` in (0, 1]. The mapping is monotone,
+ * so a draw errs at probability `p` exactly when it is <= this limit
+ * (every draw errs at p = 1). Found by a binary search that feeds
+ * fixed raw values through the library's own distribution.
+ */
+std::uint64_t faultDrawLimit(double p);
+
+/**
  * Evaluates a FaultPlan against per-operation queries.
  *
  * Probabilistic queries (nandReadPenalty, nvmeCommand) consume one
@@ -220,10 +281,24 @@ class FaultInjector
      * Sample the ECC read-retry penalty of one NAND read on `dev`
      * (0 when the read succeeds first try).
      */
-    Seconds nandReadPenalty(unsigned dev);
+    Seconds nandReadPenalty(unsigned dev)
+    {
+        if (!active_ || nand_prob_[dev] <= 0.0)
+            return 0.0;
+        if (rng_[dev]() > nand_limit_[dev])
+            return 0.0;
+        return nandReadError(dev);
+    }
 
     /** Sample the timeout/backoff outcome of one NVMe command. */
-    NvmeOutcome nvmeCommand(unsigned dev);
+    NvmeOutcome nvmeCommand(unsigned dev)
+    {
+        if (!active_ || nvme_prob_[dev] <= 0.0)
+            return NvmeOutcome{};
+        if (rng_[dev]() > nvme_limit_[dev])
+            return NvmeOutcome{};  // the first attempt completed
+        return nvmeTimedOut(dev);
+    }
 
     /** Configured per-read ECC error probability of `dev`. */
     double nandErrorProbability(unsigned dev) const;
@@ -251,7 +326,10 @@ class FaultInjector
     const FaultStats &stats() const { return stats_; }
 
   private:
-    std::mt19937_64 &rngFor(unsigned dev);
+    /** The ECC ladder of a read whose first draw erred. */
+    Seconds nandReadError(unsigned dev);
+    /** The retry loop of a command whose first attempt timed out. */
+    NvmeOutcome nvmeTimedOut(unsigned dev);
 
     bool active_ = false;
     unsigned num_devices_ = 0;
@@ -260,7 +338,11 @@ class FaultInjector
     std::vector<double> nvme_prob_;
     std::vector<Seconds> fail_at_;
     std::vector<FaultEvent> degrades_;
-    std::vector<std::mt19937_64> rng_;
+    // Per device, allocated only when some device has a probability:
+    // the draw stream and faultDrawLimit of each probability.
+    std::vector<BlockMt19937_64> rng_;
+    std::vector<std::uint64_t> nand_limit_;
+    std::vector<std::uint64_t> nvme_limit_;
     FaultStats stats_;
 };
 

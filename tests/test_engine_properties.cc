@@ -37,7 +37,10 @@ makeRun(const ModelConfig &m, std::uint64_t batch, std::uint64_t context)
     return run;
 }
 
-using GridPoint = std::tuple<EngineKind, const char *>;
+// The model name is a std::string, not a const char *: GoogleTest
+// prints a pointer param's address, and the ctest names found by
+// gtest_discover_tests would change with every ASLR'd build.
+using GridPoint = std::tuple<EngineKind, std::string>;
 
 class EngineGrid : public ::testing::TestWithParam<GridPoint>
 {
@@ -126,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(
         static SystemConfig sys = defaultSystem();
         std::string name =
             makeEngine(std::get<0>(info.param), sys)->name() +
-            std::string("_") + std::get<1>(info.param);
+            "_" + std::get<1>(info.param);
         for (char &c : name) {
             if (!std::isalnum(static_cast<unsigned char>(c)))
                 c = '_';

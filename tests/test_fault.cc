@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "sim/bandwidth.h"
 #include "sim/fault.h"
@@ -235,6 +239,228 @@ TEST(BandwidthFaults, ZeroDurationOccupyIsANoOp)
     EXPECT_DOUBLE_EQ(res.occupy(0.0, 0.0), t1);
     EXPECT_DOUBLE_EQ(res.busyUntil(), t1);
 }
+// --- Draw path: block generator and integer thresholds ---
+
+static_assert(BlockMt19937_64::min() == std::mt19937_64::min());
+static_assert(BlockMt19937_64::max() == std::mt19937_64::max());
+
+TEST(BlockMt19937_64, EmitsStdMt19937_64Sequence)
+{
+    // Five 312-word refills per seed, with ECC-ladder-style integer
+    // draws interleaved so the distribution consumes words mid-block.
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42},
+          std::numeric_limits<std::uint64_t>::max()}) {
+        std::mt19937_64 ref(seed);
+        BlockMt19937_64 gen(seed);
+        std::uniform_int_distribution<unsigned> steps(1, 8);
+        for (std::size_t i = 0; i < 5 * BlockMt19937_64::kStateWords;
+             i++) {
+            ASSERT_EQ(gen(), ref()) << "seed " << seed << " draw " << i;
+            if (i % 7 == 0) {
+                ASSERT_EQ(steps(gen), steps(ref))
+                    << "seed " << seed << " draw " << i;
+            }
+        }
+    }
+}
+
+/** std::uniform_real_distribution<double>(0, 1) of one raw draw. */
+double
+canonical(std::uint64_t raw)
+{
+    struct Fixed {
+        using result_type = std::uint64_t;
+        static constexpr result_type min() { return 0; }
+        static constexpr result_type max()
+        {
+            return std::numeric_limits<result_type>::max();
+        }
+        result_type value;
+        result_type operator()() { return value; }
+    };
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    Fixed g{raw};
+    return u(g);
+}
+
+TEST(FaultDrawLimit, AgreesWithTheDistribution)
+{
+    constexpr std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    // p = 0 never draws; no raw draw maps below 0 either.
+    EXPECT_FALSE(canonical(0) < 0.0);
+    EXPECT_FALSE(canonical(top) < 0.0);
+    for (const double p : {std::ldexp(1.0, -64), 1e-4, 0.5,
+                           std::nextafter(1.0, 0.0), 1.0}) {
+        // A draw errs exactly when it is below T = limit + 1.
+        const std::uint64_t limit = faultDrawLimit(p);
+        EXPECT_LT(canonical(0), p) << p;
+        EXPECT_LT(canonical(limit), p) << p;
+        if (limit < top) {
+            EXPECT_GE(canonical(limit + 1), p) << p;
+        }
+        EXPECT_EQ(canonical(top) < p, p == 1.0) << p;
+        EXPECT_EQ(limit == top, p == 1.0) << p;
+    }
+    EXPECT_EQ(faultDrawLimit(std::ldexp(1.0, -64)), 0u);
+    // Rounding to double puts the limit below p * 2^64: draws from
+    // 2^63 - 512 up round to 2^63 and map to exactly 0.5.
+    EXPECT_EQ(faultDrawLimit(0.5), (std::uint64_t{1} << 63) - 513);
+}
+
+/** The splitmix64 seed of device `dev`'s stream, as the injector makes it. */
+std::uint64_t
+deviceStreamSeed(std::uint64_t seed, unsigned dev)
+{
+    std::uint64_t z =
+        seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(dev) + 1);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/**
+ * The injector's probabilistic draws as they were made before the
+ * integer thresholds: std::uniform_real_distribution on
+ * std::mt19937_64, the same seeding, the same bookkeeping.
+ */
+class ReferenceDraws
+{
+  public:
+    ReferenceDraws(const FaultPlan &plan, double p, unsigned devices)
+        : retry_(plan.retry), p_(p)
+    {
+        for (unsigned d = 0; d < devices; d++)
+            rng_.emplace_back(deviceStreamSeed(plan.seed, d));
+    }
+
+    Seconds nandReadPenalty(unsigned dev)
+    {
+        std::uniform_real_distribution<double> u(0.0, 1.0);
+        if (u(rng_[dev]) >= p_)
+            return 0.0;
+        std::uniform_int_distribution<unsigned> steps_dist(
+            1, retry_.ecc_max_steps);
+        const unsigned steps = steps_dist(rng_[dev]);
+        const Seconds penalty =
+            static_cast<double>(steps) * retry_.ecc_step_latency;
+        stats.nand_read_errors++;
+        stats.nand_retry_steps += steps;
+        stats.retry_time += penalty;
+        return penalty;
+    }
+
+    FaultInjector::NvmeOutcome nvmeCommand(unsigned dev)
+    {
+        FaultInjector::NvmeOutcome out;
+        std::uniform_real_distribution<double> u(0.0, 1.0);
+        for (unsigned attempt = 1; attempt <= retry_.nvme_max_attempts;
+             attempt++) {
+            if (u(rng_[dev]) >= p_)
+                return out;
+            stats.nvme_timeouts++;
+            if (attempt == retry_.nvme_max_attempts) {
+                out.failed = true;
+                stats.nvme_failures++;
+                return out;
+            }
+            const Seconds delay =
+                retry_.nvme_timeout + retry_.backoffDelay(attempt);
+            out.extra_latency += delay;
+            out.retries++;
+            stats.nvme_retries++;
+            stats.retry_time += delay;
+        }
+        return out;
+    }
+
+    FaultStats stats;
+
+  private:
+    RetryPolicy retry_;
+    double p_;
+    std::vector<std::mt19937_64> rng_;
+};
+
+TEST(FaultInjector, DrawsMatchUniformRealReference)
+{
+    constexpr unsigned kDevices = 3;
+    for (const double p : {0.05, 0.5, 1.0}) {
+        for (const unsigned attempts : {1u, 3u, 5u}) {
+            FaultPlan plan = FaultPlan{}.addNandReadError(p).addNvmeTimeout(p);
+            plan.seed = 7;
+            plan.retry.nvme_max_attempts = attempts;
+            FaultInjector inj(plan, kDevices);
+            ReferenceDraws ref(plan, p, kDevices);
+            for (int i = 0; i < 2000; i++) {
+                // The slice loop's order: NAND read, then NVMe command.
+                const unsigned dev = static_cast<unsigned>(i) % kDevices;
+                ASSERT_EQ(inj.nandReadPenalty(dev),
+                          ref.nandReadPenalty(dev))
+                    << "p " << p << " attempts " << attempts << " i " << i;
+                const auto got = inj.nvmeCommand(dev);
+                const auto want = ref.nvmeCommand(dev);
+                ASSERT_EQ(got.extra_latency, want.extra_latency);
+                ASSERT_EQ(got.retries, want.retries);
+                ASSERT_EQ(got.failed, want.failed);
+            }
+            const FaultStats &a = inj.stats();
+            const FaultStats &b = ref.stats;
+            EXPECT_EQ(a.nand_read_errors, b.nand_read_errors);
+            EXPECT_EQ(a.nand_retry_steps, b.nand_retry_steps);
+            EXPECT_EQ(a.nvme_timeouts, b.nvme_timeouts);
+            EXPECT_EQ(a.nvme_retries, b.nvme_retries);
+            EXPECT_EQ(a.nvme_failures, b.nvme_failures);
+            EXPECT_EQ(a.redispatched_slices, b.redispatched_slices);
+            EXPECT_EQ(a.retry_time, b.retry_time);
+            EXPECT_GT(a.nand_read_errors, 0u);
+        }
+    }
+}
+
+/**
+ * Draw `k` (0-based) of device 0's stream under `seed`, checked to be
+ * the largest raw value that maps to its own variate u(x).
+ */
+std::uint64_t
+drawOnItsLimit(std::uint64_t seed, int k)
+{
+    std::mt19937_64 ref(deviceStreamSeed(seed, 0));
+    ref.discard(static_cast<unsigned long long>(k));
+    const std::uint64_t x = ref();
+    EXPECT_GT(canonical(x + 1), canonical(x));
+    return x;
+}
+
+TEST(FaultInjector, DrawOnTheLimitErrsAndOnePastDoesNot)
+{
+    // A random stream almost never lands exactly on a threshold, so the
+    // seeds here were picked for a draw x that is the largest raw value
+    // mapping to u(x): at p just above u(x) it sits on the limit and
+    // errs, at p = u(x) it does not.
+    const auto atProbability = [](std::uint64_t seed, double p) {
+        FaultPlan plan = FaultPlan{}.addNandReadError(p).addNvmeTimeout(p);
+        plan.seed = seed;
+        return plan;
+    };
+    // Seed 162: the first draw, taken by the inline fast paths.
+    const double u1 = canonical(drawOnItsLimit(162, 0));
+    for (const auto &[p, errs] :
+         {std::pair{std::nextafter(u1, 2.0), true}, std::pair{u1, false}}) {
+        FaultInjector nand(atProbability(162, p), 1);
+        EXPECT_EQ(nand.nandReadPenalty(0) > 0.0, errs) << p;
+        FaultInjector nvme(atProbability(162, p), 1);
+        EXPECT_EQ(nvme.nvmeCommand(0).retries > 0, errs) << p;
+    }
+    // Seed 1388: the second draw, after a first that errs at both
+    // probabilities, taken by the NVMe retry loop.
+    const double u2 = canonical(drawOnItsLimit(1388, 1));
+    for (const auto &[p, errs] :
+         {std::pair{std::nextafter(u2, 2.0), true}, std::pair{u2, false}}) {
+        FaultInjector nvme(atProbability(1388, p), 1);
+        EXPECT_EQ(nvme.nvmeCommand(0).retries > 1, errs) << p;
+    }
+}
 
 // --- FaultPlan::validate ---
 
@@ -324,6 +550,64 @@ TEST(FaultPlanValidate, GatesInjectorConstruction)
     FaultPlan bad_host;
     bad_host.addHostStall(1.0, -5.0, 0);
     EXPECT_THROW(HostFaultView(bad_host, 4), std::runtime_error);
+}
+
+TEST(FaultPlanValidate, RejectsZeroNvmeAttempts)
+{
+    // Zero attempts would issue no command at all, not even a first.
+    FaultPlan plan = FaultPlan{}.addNvmeTimeout(1e-3);
+    plan.retry.nvme_max_attempts = 0;
+    const std::vector<std::string> diags = plan.validate();
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_NE(diags[0].find("nvme_max_attempts 0"), std::string::npos);
+    EXPECT_THROW(FaultInjector(plan, 4), std::runtime_error);
+}
+
+TEST(FaultPlanValidate, RejectsEmptyEccLadder)
+{
+    // A ladder of depth 0 has no step to draw uniformly from [1, 0].
+    FaultPlan plan = FaultPlan{}.addNandReadError(1e-3);
+    plan.retry.ecc_max_steps = 0;
+    const std::vector<std::string> diags = plan.validate();
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_NE(diags[0].find("ecc_max_steps 0"), std::string::npos);
+    EXPECT_THROW(FaultInjector(plan, 4), std::runtime_error);
+}
+
+TEST(FaultPlanValidate, RejectsNegativeOrNonFiniteRetryLatencies)
+{
+    using Set = void (*)(RetryPolicy &, double);
+    const std::pair<const char *, Set> fields[] = {
+        {"nvme_timeout", [](RetryPolicy &r, double v) { r.nvme_timeout = v; }},
+        {"backoff_base", [](RetryPolicy &r, double v) { r.backoff_base = v; }},
+        {"backoff_multiplier",
+         [](RetryPolicy &r, double v) { r.backoff_multiplier = v; }},
+        {"backoff_cap", [](RetryPolicy &r, double v) { r.backoff_cap = v; }},
+        {"ecc_step_latency",
+         [](RetryPolicy &r, double v) { r.ecc_step_latency = v; }},
+    };
+    for (const auto &[name, set] : fields) {
+        for (const double bad : {-1e-6,
+                                 std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::quiet_NaN()}) {
+            FaultPlan plan;
+            set(plan.retry, bad);
+            const std::vector<std::string> diags = plan.validate();
+            ASSERT_EQ(diags.size(), 1u) << name << " = " << bad;
+            EXPECT_NE(diags[0].find(std::string("retry: ") + name),
+                      std::string::npos)
+                << diags[0];
+            EXPECT_NE(diags[0].find("not finite and non-negative"),
+                      std::string::npos)
+                << diags[0];
+        }
+    }
+    // Zero latencies are valid: a ladder or backoff that costs nothing.
+    FaultPlan zero;
+    zero.retry.nvme_timeout = 0.0;
+    zero.retry.backoff_base = 0.0;
+    zero.retry.ecc_step_latency = 0.0;
+    EXPECT_TRUE(zero.validate().empty());
 }
 
 // --- Host-scope plan surface ---

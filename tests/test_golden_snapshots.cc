@@ -168,6 +168,8 @@ TEST(GoldenSnapshots, EventSimDecodeStepBits)
          parseFaultPlan("seed=42;nand-err=1e-3;nvme-timeout=1e-4:2;"
                         "degrade@1.0=0.5:3;uplink@1.5=0.8;fail@2.0=6"),
          3.0},
+        {"every read errs, every command exhausted",
+         parseFaultPlan("nand-err=1;nvme-timeout=1"), 0.0},
     };
     std::string out;
     for (const Case &c : cases) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "common/random.h"
@@ -17,12 +18,22 @@ namespace hilos {
 namespace {
 
 struct PathCase {
+    const char *label;
     LayerShape shape;
     std::size_t batches;
     std::size_t prompt;
     std::size_t steps;
     std::size_t spill;
 };
+
+// Names the case by its label. Without it GoogleTest prints the raw
+// bytes of the struct, padding included, and the ctest names found by
+// gtest_discover_tests change from build to build.
+void
+PrintTo(const PathCase &pc, std::ostream *os)
+{
+    *os << pc.label;
+}
 
 class TransformerPaths : public ::testing::TestWithParam<PathCase>
 {
@@ -65,15 +76,20 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, TransformerPaths,
     ::testing::Values(
         // MHA, no RoPE, spills mid-run.
-        PathCase{LayerShape{64, 4, 4, 128, false, 4096}, 2, 40, 20, 16},
+        PathCase{"mha", LayerShape{64, 4, 4, 128, false, 4096},
+                 2, 40, 20, 16},
         // GQA (d_group 2), no RoPE.
-        PathCase{LayerShape{64, 4, 2, 128, false, 4096}, 2, 32, 12, 8},
+        PathCase{"gqa", LayerShape{64, 4, 2, 128, false, 4096},
+                 2, 32, 12, 8},
         // MHA with RoPE: X-cache must re-rotate regenerated keys.
-        PathCase{LayerShape{32, 2, 2, 64, true, 4096}, 1, 24, 10, 4},
+        PathCase{"mha_rope", LayerShape{32, 2, 2, 64, true, 4096},
+                 1, 24, 10, 4},
         // GQA with RoPE (the Qwen-style configuration).
-        PathCase{LayerShape{64, 4, 2, 96, true, 4096}, 2, 16, 18, 16},
+        PathCase{"gqa_rope", LayerShape{64, 4, 2, 96, true, 4096},
+                 2, 16, 18, 16},
         // Spill interval 1: every entry commits immediately.
-        PathCase{LayerShape{32, 2, 2, 64, false, 4096}, 1, 8, 6, 1}));
+        PathCase{"spill_every_entry", LayerShape{32, 2, 2, 64, false, 4096},
+                 1, 8, 6, 1}));
 
 TEST(Transformer, PrefillPopulatesAllCaches)
 {
